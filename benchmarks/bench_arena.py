@@ -31,7 +31,7 @@ import tracemalloc
 import pytest
 
 from benchmarks.conftest import bench_json, emit, full_scale, smoke_mode
-from repro.core.build import factorise
+from repro.core.build import ArenaFactoriser, factorise
 from repro.core.factorised import FactorisedRelation
 from repro.engine import FDB
 from repro.persist import load, save
@@ -135,7 +135,7 @@ def test_arena_hot_paths(tmp_path):
         )
         build_arena, columns = _best_of(
             p["repeats"],
-            lambda: factorise(relations, tree, encoding="arena"),
+            lambda: ArenaFactoriser(relations, tree).run(),
         )
         fr = FactorisedRelation(tree, product)
         fa = FactorisedRelation(tree, arena=columns)
@@ -177,7 +177,7 @@ def test_arena_hot_paths(tmp_path):
             lambda: factorise(relations, tree)
         )
         totals["memory_arena_bytes"] += _retained_bytes(
-            lambda: factorise(relations, tree, encoding="arena")
+            lambda: ArenaFactoriser(relations, tree).run()
         )
         totals["result_tuples"] += fr.count()
         totals["result_singletons"] += fr.size()

@@ -126,7 +126,9 @@ def test_incremental_maintenance_speedup():
 
     # Exact-rows check on the final state against a fresh engine.
     for query in queries:
-        fr = FDB(db, check_invariants=True).evaluate(query)
+        fr = FDB(
+            db, encoding="object", check_invariants=True
+        ).evaluate(query)
         expected = sorted(set(fr.rows(fr.attributes)))
         assert incremental.run(query).rows() == expected
         assert recompute.run(query).rows() == expected

@@ -164,7 +164,7 @@ def test_persist_factorised_smaller_than_flat_csv(tmp_path):
     query = Query.make(
         ["Orders", "Listings"], equalities=[("o_key", "l_key")]
     )
-    fr = FDB(db).evaluate(query)
+    fr = FDB(db, encoding="object").evaluate(query)
 
     fact_path = str(tmp_path / "result.fdbp")
     start = time.perf_counter()

@@ -13,11 +13,12 @@ This subpackage is the paper's primary contribution surface:
 - :mod:`repro.core.enumerate` -- constant-delay tuple enumeration;
 - :mod:`repro.core.size` -- the singleton-count size measure;
 - :mod:`repro.core.factorised` -- the user-facing bundle of both;
-- :mod:`repro.core.aggregate` -- SQL aggregates without enumeration;
-- :mod:`repro.core.serialize` -- JSON round-trip of factorised data.
+- :mod:`repro.core.aggregate` -- SQL aggregates without enumeration.
+
+Factorised results are saved and loaded through :mod:`repro.persist`.
 """
 
-from repro.core import aggregate, serialize
+from repro.core import aggregate
 from repro.core.arena import ArenaRep, from_product, to_product
 from repro.core.build import ArenaFactoriser, Factoriser, factorise
 from repro.core.enumerate import iter_assignments, iter_rows
@@ -34,7 +35,6 @@ __all__ = [
     "ArenaRep",
     "expression_of",
     "from_product",
-    "serialize",
     "factorise",
     "FactorisedRelation",
     "Factoriser",

@@ -23,7 +23,7 @@ Tuples that violate an intra-relation class equality (two attributes of
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.arena import ArenaRep, ArenaWriter
 from repro.core.ftree import FNode, FTree, FTreeError
@@ -31,9 +31,6 @@ from repro.core.frep import ProductRep, UnionRep, merge_sorted_values
 from repro.relational.relation import Relation
 
 _Context = Dict[FrozenSet[str], object]
-
-#: Physical encodings :func:`factorise` can produce.
-ENCODINGS = ("object", "arena")
 
 
 class _Source:
@@ -229,21 +226,11 @@ class ArenaFactoriser(Factoriser):
 
 
 def factorise(
-    relations: Sequence[Relation],
-    tree: FTree,
-    encoding: str = "object",
-    pool=None,
-) -> Optional[Union[ProductRep, ArenaRep]]:
-    """One-shot factorisation in the requested physical encoding.
+    relations: Sequence[Relation], tree: FTree
+) -> Optional[ProductRep]:
+    """One-shot factorisation in the object encoding (the oracle).
 
-    ``pool`` (arena encoding only) interns values into a shared
-    :class:`~repro.core.arena.ValuePool` -- see
-    :meth:`ArenaFactoriser.run`.
+    The arena encoding is built by :class:`ArenaFactoriser`, which
+    :class:`~repro.engine.FDB` picks by its ``encoding``.
     """
-    if encoding == "object":
-        return Factoriser(relations, tree).run()
-    if encoding == "arena":
-        return ArenaFactoriser(relations, tree).run(pool)
-    raise ValueError(
-        f"unknown encoding {encoding!r}; pick one of {ENCODINGS}"
-    )
+    return Factoriser(relations, tree).run()

@@ -6,28 +6,27 @@ relation) and offers the logical-layer view of Section 1: the relation
 *is* a relation -- it can be enumerated, counted, compared and exported
 flat -- while the physical layer stays factorised.
 
-Two physical encodings back the same logical relation:
+A relation holds exactly one physical encoding, named by
+:attr:`~FactorisedRelation.encoding`:
 
+- the **arena** encoding (:class:`~repro.core.arena.ArenaRep`, built
+  with ``arena=``) -- flat interned-value and offset-range columns; the
+  encoding every production path (sessions, workers, servers, IVM)
+  evaluates in;
 - the **object** encoding (:class:`~repro.core.frep.ProductRep` /
-  ``UnionRep`` trees) -- what the f-plan operators rewrite;
-- the **arena** encoding (:class:`~repro.core.arena.ArenaRep`) -- flat
-  interned-value and offset-range columns for the hot paths (build,
-  count, size, enumeration, aggregates, near-verbatim serialisation).
+  ``UnionRep`` trees, built with ``data=``) -- the reference
+  implementation the differential tests compare the arena against,
+  reached through ``FDB(db, encoding="object")``.
 
-Construct with ``data=`` for the object encoding or ``arena=`` for the
-arena; :attr:`encoding` names the primary one.  Conversion is lazy in
-both directions: reading :attr:`data` on an arena-backed relation
-materialises (and caches) the object form, so every existing operator
-keeps working unchanged -- this is the transparent arena->object
-adapter the f-plan operators (swap, merge, absorb, normalise) rely on
--- and reading :attr:`arena` on an object-backed relation builds the
-columns.  All logical-view methods run on the primary encoding.
+Reading :attr:`~FactorisedRelation.data` on an arena relation, or
+:attr:`~FactorisedRelation.arena` on an object relation, raises
+:class:`TypeError`; :meth:`~FactorisedRelation.to_arena` and
+:meth:`~FactorisedRelation.to_object` are the only conversions.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.core import arena as arena_mod
 from repro.core.arena import ArenaRep
@@ -39,84 +38,9 @@ from repro.core.size import data_elements, representation_size, tuple_count
 from repro.core.validate import validate_relation
 from repro.relational.relation import Relation
 
-#: The physical encodings a relation can be backed by.
-ENCODINGS = ("object", "arena")
-
-
-class _Unset:
-    """Sentinel for a not-yet-materialised encoding (pickle-stable)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<unset>"
-
-    def __reduce__(self):
-        return (_unset, ())
-
-
-def _unset() -> "_Unset":
-    return _UNSET
-
-
-_UNSET = _Unset()
-
-
-class AdapterCounters:
-    """Process-wide tallies of arena<->object adapter conversions.
-
-    The whole point of the arena-native pipeline is that these stay at
-    zero on the hot path; they are surfaced in session/server STATS and
-    gated by ``benchmarks/bench_plan_pipeline.py`` so an operator that
-    silently falls back to the object encoding shows up as a counted
-    (and benchmark-failing) regression rather than a quiet slowdown.
-    """
-
-    __slots__ = (
-        "_lock",
-        "to_object_calls",
-        "to_arena_calls",
-        "bytes_to_object",
-        "bytes_to_arena",
-    )
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.reset()
-
-    def reset(self) -> None:
-        self.to_object_calls = 0
-        self.to_arena_calls = 0
-        self.bytes_to_object = 0
-        self.bytes_to_arena = 0
-
-    def note_to_object(self, nbytes: int) -> None:
-        with self._lock:
-            self.to_object_calls += 1
-            self.bytes_to_object += nbytes
-
-    def note_to_arena(self, nbytes: int) -> None:
-        with self._lock:
-            self.to_arena_calls += 1
-            self.bytes_to_arena += nbytes
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "to_object_calls": self.to_object_calls,
-                "to_arena_calls": self.to_arena_calls,
-                "bytes_to_object": self.bytes_to_object,
-                "bytes_to_arena": self.bytes_to_arena,
-            }
-
-    @property
-    def round_trips(self) -> int:
-        """Conversions out of the arena encoding (the costly direction)."""
-        return self.to_object_calls
-
-
-#: Module-level adapter instrumentation (one per process/worker).
-ADAPTER = AdapterCounters()
+#: Constructor default: tells "not given" apart from ``None`` (the
+#: empty relation).
+_MISSING = object()
 
 
 class FactorisedRelation:
@@ -137,65 +61,64 @@ class FactorisedRelation:
     ('arena', 3, 5)
     """
 
-    __slots__ = ("tree", "_object", "_arena", "_primary")
+    __slots__ = ("tree", "_rep", "encoding")
 
     def __init__(
         self,
         tree: FTree,
-        data: Union[Optional[ProductRep], "_Unset"] = _UNSET,
+        data: Optional[ProductRep] = _MISSING,  # type: ignore[assignment]
         *,
-        arena: Union[Optional[ArenaRep], "_Unset"] = _UNSET,
+        arena: Optional[ArenaRep] = _MISSING,  # type: ignore[assignment]
     ) -> None:
-        if data is _UNSET and arena is _UNSET:
+        if (data is _MISSING) == (arena is _MISSING):
             raise ValueError(
-                "FactorisedRelation needs data= (object encoding) "
-                "or arena= (arena encoding)"
+                "FactorisedRelation needs exactly one of data= (object "
+                "encoding) or arena= (arena encoding)"
             )
         self.tree = tree
-        self._object = data
-        self._arena = arena
-        self._primary = "object" if data is not _UNSET else "arena"
+        if arena is _MISSING:
+            self._rep = data
+            #: The physical encoding: ``"object"`` or ``"arena"``.
+            self.encoding = "object"
+        else:
+            self._rep = arena
+            self.encoding = "arena"
 
     # -- encodings -----------------------------------------------------------
 
     @property
-    def encoding(self) -> str:
-        """The primary physical encoding ("object" or "arena")."""
-        return self._primary
-
-    @property
     def data(self) -> Optional[ProductRep]:
-        """The object encoding (materialised from the arena on demand)."""
-        if self._object is _UNSET:
-            rep = self._arena
-            ADAPTER.note_to_object(0 if rep is None else rep.nbytes())
-            self._object = arena_mod.to_product(rep)
-        return self._object  # type: ignore[return-value]
+        """The object representation; ``TypeError`` on an arena relation."""
+        if self.encoding != "object":
+            raise TypeError(
+                "arena-encoded relation has no object data; "
+                "call to_object() to convert explicitly"
+            )
+        return self._rep
 
     @property
     def arena(self) -> Optional[ArenaRep]:
-        """The arena encoding (materialised from the objects on demand)."""
-        if self._arena is _UNSET:
-            self._arena = arena_mod.from_product(self.tree, self._object)
-            rep = self._arena
-            ADAPTER.note_to_arena(0 if rep is None else rep.nbytes())
-        return self._arena  # type: ignore[return-value]
+        """The arena representation; ``TypeError`` on an object relation."""
+        if self.encoding != "arena":
+            raise TypeError(
+                "object-encoded relation has no arena; "
+                "call to_arena() to convert explicitly"
+            )
+        return self._rep
 
     def to_arena(self) -> "FactorisedRelation":
-        """This relation with the arena as primary encoding."""
-        if self._primary == "arena":
+        """This relation in the arena encoding (converted if needed)."""
+        if self.encoding == "arena":
             return self
-        return FactorisedRelation(self.tree, arena=self.arena)
+        return FactorisedRelation(
+            self.tree, arena=arena_mod.from_product(self.tree, self._rep)
+        )
 
     def to_object(self) -> "FactorisedRelation":
-        """This relation with the objects as primary encoding."""
-        if self._primary == "object":
+        """This relation in the object encoding (converted if needed)."""
+        if self.encoding == "object":
             return self
-        return FactorisedRelation(self.tree, self.data)
-
-    def _active(self):
-        """The primary representation (what the logical view runs on)."""
-        return self._arena if self._primary == "arena" else self._object
+        return FactorisedRelation(self.tree, arena_mod.to_product(self._rep))
 
     # -- relational view -----------------------------------------------------
 
@@ -205,29 +128,29 @@ class FactorisedRelation:
         return tuple(sorted(self.tree.attributes()))
 
     def is_empty(self) -> bool:
-        return self._active() is None
+        return self._rep is None
 
     def size(self) -> int:
         """Representation size ``|E|``: the number of singletons."""
-        return representation_size(self.tree.roots, self._active())
+        return representation_size(self.tree.roots, self._rep)
 
     def count(self) -> int:
         """Number of represented tuples, without enumeration."""
-        return tuple_count(self.tree.roots, self._active())
+        return tuple_count(self.tree.roots, self._rep)
 
     def flat_data_elements(self) -> int:
         """Size of the *flat* equivalent in data elements."""
-        return data_elements(self.tree.roots, self._active())
+        return data_elements(self.tree.roots, self._rep)
 
     def __iter__(self) -> Iterator[Assignment]:
-        return iter_assignments(self.tree.roots, self._active())
+        return iter_assignments(self.tree.roots, self._rep)
 
     def rows(
         self, attributes: Optional[Sequence[str]] = None
     ) -> Iterator[tuple]:
         """Iterate tuples projected onto ``attributes`` (default all)."""
         order = self.attributes if attributes is None else tuple(attributes)
-        return iter_rows(self.tree.roots, self._active(), order)
+        return iter_rows(self.tree.roots, self._rep, order)
 
     def to_relation(self, name: str = "flat") -> Relation:
         """Materialise the flat relation (use with care on big data)."""
@@ -235,9 +158,10 @@ class FactorisedRelation:
 
     def to_expression(self) -> Expression:
         """The Definition-1 expression AST of this representation."""
-        if self.data is None:
+        data = self.to_object().data
+        if data is None:
             return Empty(self.tree.attributes())
-        return expression_of(self.tree, self.data)
+        return expression_of(self.tree, data)
 
     # -- aggregates (computed without enumeration) -----------------------------
 
@@ -245,34 +169,34 @@ class FactorisedRelation:
         """``SUM(attribute)`` over all represented tuples."""
         from repro.core import aggregate
 
-        return aggregate.sum_of(self.tree.roots, self._active(), attribute)
+        return aggregate.sum_of(self.tree.roots, self._rep, attribute)
 
     def avg(self, attribute: str) -> Optional[float]:
         """``AVG(attribute)``; ``None`` on the empty relation."""
         from repro.core import aggregate
 
         return aggregate.average(
-            self.tree.roots, self._active(), attribute
+            self.tree.roots, self._rep, attribute
         )
 
     def min(self, attribute: str):
         """``MIN(attribute)``; ``None`` on the empty relation."""
         from repro.core import aggregate
 
-        return aggregate.min_of(self.tree.roots, self._active(), attribute)
+        return aggregate.min_of(self.tree.roots, self._rep, attribute)
 
     def max(self, attribute: str):
         """``MAX(attribute)``; ``None`` on the empty relation."""
         from repro.core import aggregate
 
-        return aggregate.max_of(self.tree.roots, self._active(), attribute)
+        return aggregate.max_of(self.tree.roots, self._rep, attribute)
 
     def count_distinct(self, attribute: str) -> int:
         """``COUNT(DISTINCT attribute)``."""
         from repro.core import aggregate
 
         return aggregate.count_distinct(
-            self.tree.roots, self._active(), attribute
+            self.tree.roots, self._rep, attribute
         )
 
     def group_count(self, attribute: str):
@@ -280,7 +204,7 @@ class FactorisedRelation:
         from repro.core import aggregate
 
         return aggregate.group_count(
-            self.tree.roots, self._active(), attribute
+            self.tree.roots, self._rep, attribute
         )
 
     # -- comparisons and checks ----------------------------------------------
@@ -305,14 +229,16 @@ class FactorisedRelation:
     def validate(self) -> "FactorisedRelation":
         """Check all structural invariants; returns self for chaining.
 
-        An arena primary is checked twice: the cheap arena-level bounds
-        and order checks, then the full object-level validation on the
-        (lazily converted) object form -- correctness never forks
+        An arena relation is checked twice: the cheap arena-level bounds
+        and order checks, then the full object-level validation on its
+        explicitly converted object form -- correctness never forks
         between the encodings.
         """
-        if self._arena is not _UNSET:
-            arena_mod.validate_arena(self.tree, self._arena)
-        validate_relation(self.tree, self.data)
+        data = self._rep
+        if self.encoding == "arena":
+            arena_mod.validate_arena(self.tree, data)
+            data = arena_mod.to_product(data)
+        validate_relation(self.tree, data)
         return self
 
     # -- display ---------------------------------------------------------------
@@ -329,10 +255,7 @@ class FactorisedRelation:
         )
 
     def copy(self) -> "FactorisedRelation":
-        if self._primary == "arena":
-            rep = self._arena
-            return FactorisedRelation(
-                self.tree, arena=None if rep is None else rep.copy()
-            )
-        data = None if self._object is None else self._object.copy()
-        return FactorisedRelation(self.tree, data)
+        rep = None if self._rep is None else self._rep.copy()
+        if self.encoding == "arena":
+            return FactorisedRelation(self.tree, arena=rep)
+        return FactorisedRelation(self.tree, rep)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro import ops
-from repro.core.build import ENCODINGS, factorise
+from repro.core.build import ArenaFactoriser, Factoriser
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
 from repro.optimiser.exhaustive import exhaustive_fplan
@@ -30,6 +30,9 @@ from repro.query.query import Query, QueryError
 from repro.relational.database import Database
 from repro.relational.operators import select_constant as flat_select
 from repro.relational.relation import Relation
+
+#: The physical encodings :class:`FDB` can evaluate in.
+ENCODINGS = ("object", "arena")
 
 
 class FDB:
@@ -47,10 +50,11 @@ class FDB:
         When true, every produced representation is validated against
         the structural invariants (for tests and debugging).
     encoding:
-        Physical encoding of produced representations: ``"object"``
-        (``ProductRep`` trees) or ``"arena"`` (the flat columnar
-        encoding of :mod:`repro.core.arena`; same relations, faster
-        build/count/enumerate hot paths).
+        Physical encoding of produced representations: ``"arena"``
+        (the columnar encoding of :mod:`repro.core.arena` every
+        production path evaluates in) or ``"object"`` (``ProductRep``
+        trees, the reference oracle of the differential tests).  This
+        is the one place an encoding is chosen.
 
     >>> from repro.relational import Database
     >>> from repro.query import parse_query
@@ -132,13 +136,13 @@ class FDB:
                 if cond.attribute in relation.schema:
                     relation = flat_select(relation, cond)
             relations.append(relation)
-        data = factorise(
-            relations, tree, encoding=self.encoding, pool=self.shared_pool
-        )
         if self.encoding == "arena":
-            fr = FactorisedRelation(tree, arena=data)
+            fr = FactorisedRelation(
+                tree,
+                arena=ArenaFactoriser(relations, tree).run(self.shared_pool),
+            )
         else:
-            fr = FactorisedRelation(tree, data)
+            fr = FactorisedRelation(tree, Factoriser(relations, tree).run())
         for cond in query.constants:
             if cond.op == "=":
                 fr = ops.select_constant(fr, cond)

@@ -136,7 +136,6 @@ class ParallelExecutor(Executor):
                         session.plan_search,
                         session.cost_model,
                         session.check_invariants,
-                        session.encoding,
                     ),
                 )
                 pool.submit(worker.ping).result(timeout=60)
@@ -202,7 +201,6 @@ class ParallelExecutor(Executor):
                 session.check_invariants,
                 query,
                 tree,
-                session.encoding,
             )
         )
 
@@ -225,7 +223,6 @@ class ParallelExecutor(Executor):
                 tree,
                 index,
                 fanout,
-                session.encoding,
             )
         )
 

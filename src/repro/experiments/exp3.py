@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import time
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
@@ -59,6 +60,13 @@ class Exp3Row:
     fdb_arena_eval_seconds: float = DNF
 
 
+def _config_seed(distribution: str, n: int, k: int) -> int:
+    """Per-configuration seed offset, the same in every process
+    (builtin ``hash`` of a string is salted per process)."""
+    key = f"{distribution}/{n}/{k}".encode("utf-8")
+    return zlib.crc32(key) % 10_000
+
+
 def _measure_fdb(db: Database, query: Query) -> (float, float):
     fdb = FDB(db)
     start = time.perf_counter()
@@ -76,7 +84,7 @@ def _measure_encodings(db: Database, query: Query) -> (float, float):
     exists to cut.  Raises AssertionError if the encodings ever
     disagree on those measures (they must not).
     """
-    object_engine = FDB(db)
+    object_engine = FDB(db, encoding="object")
     tree = object_engine.optimal_tree(query)
 
     start = time.perf_counter()
@@ -152,7 +160,7 @@ def run_experiment3(
     for distribution in distributions:
         for n in sizes:
             for k in k_values:
-                run_seed = seed + hash((distribution, n, k)) % 10_000
+                run_seed = seed + _config_seed(distribution, n, k)
                 db = random_database(
                     3,
                     9,

@@ -47,7 +47,7 @@ Address = Union[str, Tuple[str, int]]
 
 #: "No per-call timeout given -- use the session default."  A real
 #: sentinel, because ``None`` is a meaningful timeout (wait forever).
-_UNSET = object()
+_SESSION_TIMEOUT = object()
 
 
 class NetError(RuntimeError):
@@ -147,8 +147,8 @@ class RemoteSession:
                 f"{self.address[0]}:{self.address[1]} did not say hello "
                 f"(got {hello[0] if hello else 'EOF'})"
             )
-        #: The server's hello header: protocol version, encoding,
-        #: shard layout, relation names, database version.
+        #: The server's hello header: protocol version, shard layout,
+        #: relation names, database version.
         self.server_info: Dict[str, Any] = hello[1]
         #: The connection's shared wire pool (decoder side); responses
         #: are decoded on the single reader thread, in arrival order,
@@ -165,13 +165,13 @@ class RemoteSession:
 
     # -- the public QuerySession-shaped API --------------------------------
 
-    def _await(self, rid: int, future: Future, timeout=_UNSET):
+    def _await(self, rid: int, future: Future, timeout=_SESSION_TIMEOUT):
         """Block on a response; timeouts become :class:`NetError` and
         release the pending entry (a late response is then ignored).
         ``timeout`` overrides the session default for this one call
         (federation pollers scrape with a bound tighter than the
         query timeout)."""
-        wait = self.timeout if timeout is _UNSET else timeout
+        wait = self.timeout if timeout is _SESSION_TIMEOUT else timeout
         try:
             return future.result(wait)
         except (TimeoutError, _FutureTimeout):
@@ -236,14 +236,14 @@ class RemoteSession:
             trace.extend(result.spans, prefix="server:")
         return result
 
-    def stats(self, timeout=_UNSET) -> Dict[str, Any]:
+    def stats(self, timeout=_SESSION_TIMEOUT) -> Dict[str, Any]:
         """The server's ``STATS`` document: the unified registry
         snapshot (server / session / cache / queue / plan-store /
         slow-log counters) plus the request id."""
         rid, future = self._request("stats", {}, context=("stats",))
         return self._await(rid, future, timeout)
 
-    def metrics(self, timeout=_UNSET) -> Dict[str, Any]:
+    def metrics(self, timeout=_SESSION_TIMEOUT) -> Dict[str, Any]:
         """The server's unified metrics snapshot (a plain nested
         dict; the same document the Prometheus endpoint flattens)."""
         snapshot, _ = self._await(
@@ -252,7 +252,7 @@ class RemoteSession:
         )
         return snapshot
 
-    def metrics_text(self, timeout=_UNSET) -> str:
+    def metrics_text(self, timeout=_SESSION_TIMEOUT) -> str:
         """The server's metrics in Prometheus text exposition format."""
         _, text = self._await(
             *self._request("metrics", {}, context=("metrics",)),

@@ -334,7 +334,7 @@ def pack_result(
     if include_spans and result.spans:
         meta["spans"] = result.spans
     if result.factorised is not None:
-        if pool is not None and result.factorised.encoding == "arena":
+        if pool is not None:
             meta["payload"] = "fdbp-pool"
             return meta, pool.encode(result.factorised)
         meta["payload"] = "fdbp"

@@ -2,10 +2,8 @@
 
 The object implementations in :mod:`repro.ops.swap`, ``merge``,
 ``normalise`` and ``absorb`` rewrite ``UnionRep``/``ProductRep`` trees
-one Python object at a time; for arena-backed relations they used to
-run through the lazy arena->object adapter, paying two full encoding
-conversions per restructuring step.  This module re-implements each
-operator directly on the flat columns of
+one Python object at a time and serve as the reference oracle.  This
+module implements each operator directly on the flat columns of
 :class:`~repro.core.arena.ArenaRep`:
 
 - value ids are copied **verbatim** (every kernel's output shares its

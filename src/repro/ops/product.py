@@ -33,16 +33,19 @@ def product(
 ) -> FactorisedRelation:
     """Cartesian product of two factorised relations.
 
-    Arena-backed inputs combine by column adoption (zero copies under
-    a shared pool) in :func:`repro.ops.arena_kernels.product_arena`.
+    Both inputs must share one encoding.  Arena inputs combine by
+    column adoption (zero copies under a shared pool) in
+    :func:`repro.ops.arena_kernels.product_arena`.
     """
+    if left.encoding != right.encoding:
+        raise OperatorError(
+            f"product of mixed encodings ({left.encoding} x "
+            f"{right.encoding}); convert one side explicitly"
+        )
     tree = product_tree(left.tree, right.tree)
-    arena_side = left.encoding == "arena" or right.encoding == "arena"
-    if left.is_empty() or right.is_empty():
-        if arena_side:
+    if left.encoding == "arena":
+        if left.is_empty() or right.is_empty():
             return FactorisedRelation(tree, arena=None)
-        return FactorisedRelation(tree, None)
-    if arena_side:
         from repro.ops import arena_kernels
 
         return FactorisedRelation(

@@ -23,11 +23,10 @@ removes *whole subtrees* and keeps every remaining label intact (the
 common "root prefix" shape): the surviving columns transfer verbatim
 (:func:`repro.core.arena.drop_subtrees`) and no swaps are needed.  The
 fast path skips the final normalisation pass -- a pure representation
-choice; the denoted relation is identical.  Projections needing swaps
-or leaf drops stay columnar too (the swap and normalise kernels of
-:mod:`repro.ops.arena_kernels`, the leaf case of ``drop_subtrees``);
-only phase-1 label reduction falls back to the object path via the
-lazy ``data`` adapter.
+choice; the denoted relation is identical.  Projections needing
+label reduction, swaps or leaf drops stay columnar too (column
+rebinding in :func:`_reduce_labels`, the swap and normalise kernels of
+:mod:`repro.ops.arena_kernels`, the leaf case of ``drop_subtrees``).
 """
 
 from __future__ import annotations

@@ -79,8 +79,14 @@ def union(
 
     Sub-representations appearing on one side only are shared, not
     copied (operators treat representations as immutable).  Exactness
-    requires branch-compatible inputs -- see the module docstring.
+    requires branch-compatible inputs -- see the module docstring --
+    and both inputs must share one encoding.
     """
+    if left.encoding != right.encoding:
+        raise OperatorError(
+            f"union of mixed encodings ({left.encoding} and "
+            f"{right.encoding}); convert one side explicitly"
+        )
     if left.tree.key() != right.tree.key():
         raise OperatorError(
             "union requires identical f-trees: "
@@ -90,7 +96,7 @@ def union(
         return right
     if right.is_empty():
         return left
-    if left.encoding == "arena" and right.encoding == "arena":
+    if left.encoding == "arena":
         from repro.ops import arena_kernels
 
         return FactorisedRelation(

@@ -1164,7 +1164,7 @@ def encode(obj: object) -> Tuple[str, Dict[str, Any], bytes]:
         header, payload = _encode_fplan(obj)
         return "fplan", header, payload
     if isinstance(obj, FactorisedRelation):
-        # The blob kind follows the relation's primary encoding, so
+        # The blob kind follows the relation's encoding, so
         # arena-evaluated results reload straight into their columns.
         if obj.encoding == "arena":
             header, payload = _encode_arena(obj)

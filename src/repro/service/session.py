@@ -191,11 +191,15 @@ class QuerySession:
         store.  Sessions watch its
         :attr:`~repro.relational.database.Database.version` and drop
         every cache when it moves.
-    plan_search / cost_model / encoding:
-        Forwarded to :class:`~repro.engine.FDB`.  ``encoding="arena"``
-        evaluates factorised results in the flat columnar encoding of
-        :mod:`repro.core.arena` (``repro batch --arena`` on the CLI);
-        answers are identical, the hot paths faster.
+    plan_search / cost_model:
+        Forwarded to the session's :class:`~repro.engine.FDB`, which
+        the session always builds in the arena encoding of
+        :mod:`repro.core.arena`.
+    encoding:
+        Accepted for callers that name the encoding; only ``"arena"``
+        is valid (``ValueError`` otherwise).  The object encoding is
+        the test oracle, reached through ``FDB(db, encoding="object")``
+        only.
     fallback_budget:
         Estimated-singleton threshold above which ``auto`` queries are
         routed to the flat engine; ``None`` disables the fallback.
@@ -258,16 +262,21 @@ class QuerySession:
         executor: Optional[Executor] = None,
         cache_size: Optional[int] = None,
         plan_store: Optional["PlanStore"] = None,
-        encoding: str = "object",
+        encoding: str = "arena",
         result_cache_size: Optional[int] = 64,
         tracing: bool = True,
         slow_log: Optional[SlowQueryLog] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
+        if encoding != "arena":
+            raise ValueError(
+                f"sessions evaluate in the arena encoding only, not "
+                f"{encoding!r}; use FDB(db, encoding='object') for the "
+                f"object oracle"
+            )
         self.database = database
         self.plan_search = plan_search
         self.cost_model = cost_model
-        self.encoding = encoding
         self.fallback_budget = fallback_budget
         self.budget = budget
         self.check_invariants = check_invariants
@@ -353,7 +362,7 @@ class QuerySession:
             check_invariants=self.check_invariants,
             cost_model=self.cost_model,
             statistics=shared,
-            encoding=self.encoding,
+            encoding="arena",
         )
         self._flat = RelationalEngine(self.database, budget=self.budget)
         if self._results is not None:
@@ -396,7 +405,7 @@ class QuerySession:
                 check_invariants=self.check_invariants,
                 cost_model=self.cost_model,
                 statistics=self.statistics(),
-                encoding=self.encoding,
+                encoding="arena",
             )
         self.executor.invalidate()
 
@@ -413,13 +422,8 @@ class QuerySession:
         return len(self._plans) + len(self._fplans)
 
     def cache_counters(self) -> Dict[str, Dict[str, int]]:
-        """Counters of the plan caches, the delta-maintained result
-        cache (zeros when result caching is disabled) and the
-        process-wide arena<->object adapter tallies -- the latter so a
-        kernel silently falling back to the object encoding shows up
-        in STATS as counted round trips."""
-        from repro.core.factorised import ADAPTER
-
+        """Counters of the plan caches and the delta-maintained result
+        cache (zeros when result caching is disabled)."""
         return {
             "plans": self._plans.counters(),
             "fplans": self._fplans.counters(),
@@ -428,13 +432,12 @@ class QuerySession:
                 if self._results is not None
                 else ResultCache().counters()
             ),
-            "adapter": ADAPTER.snapshot(),
         }
 
     def snapshot(self) -> Dict:
         """The unified observability snapshot (:mod:`repro.obs`):
         instruments plus every registered collector namespace --
-        session stats, cache/ivm/adapter counters, submitter, plan
+        session stats, cache/ivm counters, submitter, plan
         store, slow log, and (when a server grafted itself on) the
         server counters."""
         return self.registry.snapshot()
@@ -795,7 +798,6 @@ class QuerySession:
         entry = self._results.lookup(
             query,
             self.database,
-            encoding=self.encoding,
             check_invariants=self.check_invariants,
         )
         if entry is None:

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import arena
 from repro.core.arena import ArenaError, ArenaRep, ArenaWriter
-from repro.core.build import factorise
+from repro.core.build import ArenaFactoriser, factorise
 from repro.core.factorised import FactorisedRelation
 from repro.core.frep import ProductRep
 from repro.core.ftree import FTree
@@ -86,7 +86,7 @@ def test_direct_arena_build_matches_object_build(seed):
     tree = fdb.optimal_tree(query)
     relations = [db[name] for name in query.relations]
     product = factorise(relations, tree)
-    built = factorise(relations, tree, encoding="arena")
+    built = ArenaFactoriser(relations, tree).run()
     assert arena.to_product(built) == product
     if product is not None:
         order = tuple(sorted(tree.attributes()))
@@ -120,8 +120,8 @@ def test_empty_relation_round_trip():
     assert fa.is_empty()
     assert fa.count() == 0 and fa.size() == 0
     assert list(fa.rows()) == []
-    assert fa.data is None  # lazy conversion of the empty arena
-    assert fa.to_object().is_empty()
+    assert fa.to_object().data is None
+    assert fa.to_object().to_arena().arena is None
 
 
 def test_nullary_tuple_round_trip():
@@ -138,19 +138,38 @@ def test_nullary_tuple_round_trip():
     assert fa.count() == 1 and fa.size() == 0
 
 
-def test_lazy_conversion_both_ways_and_primary_encoding():
+def test_explicit_conversion_both_ways_and_wrong_accessor_raises():
     fr, _, _ = _nonempty_result(301)
     assert fr.encoding == "object"
     fa = fr.to_arena()
     assert fa.encoding == "arena"
-    assert fa.to_arena() is fa  # already primary
+    assert fa.to_arena() is fa and fr.to_object() is fr
     back = fa.to_object()
     assert back.encoding == "object"
     assert back.data == fr.data
-    # Reading .data on an arena-primary relation materialises objects
-    # without changing the primary encoding.
-    assert fa.data == fr.data
-    assert fa.encoding == "arena"
+    # A relation holds one encoding: the other accessor never converts.
+    with pytest.raises(TypeError, match="to_object"):
+        fa.data
+    with pytest.raises(TypeError, match="to_arena"):
+        fr.arena
+    with pytest.raises(ValueError, match="exactly one"):
+        FactorisedRelation(fr.tree, fr.data, arena=fa.arena)
+
+
+def test_mixed_encoding_union_and_product_raise():
+    from repro.ops import OperatorError, product, union
+
+    fr, _, _ = _nonempty_result(304)
+    fa = fr.to_arena()
+    for left, right in ((fr, fa), (fa, fr)):
+        with pytest.raises(OperatorError, match="mixed encodings"):
+            union(left, right)
+    other = FactorisedRelation(
+        FTree.from_nested([("zz", [])], [{"zz"}]), None
+    )
+    for left, right in ((fa, other), (other.to_arena(), fr)):
+        with pytest.raises(OperatorError, match="mixed encodings"):
+            product(left, right)
 
 
 def test_copy_preserves_encoding_and_isolates_columns():
@@ -361,7 +380,7 @@ def test_bounds_check_rejects_non_contiguous_ranges():
         "R", ("a", "b"), [(1, 1), (1, 2), (2, 3), (2, 4)]
     )
     tree = FTree.from_nested([("a", [("b", [])])], [{"a", "b"}])
-    rep = factorise([r], tree, encoding="arena")
+    rep = ArenaFactoriser([r], tree).run()
     arena.validate_arena_bounds(tree, rep)  # healthy baseline
     # Swap the two a-entries' b-ranges: [0,2) and [2,4) become [2,4)
     # and [0,2) -- every offset stays in bounds and non-empty, but the

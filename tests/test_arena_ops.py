@@ -9,10 +9,10 @@ the equivalence on the shapes the kernels are easiest to get wrong:
 - single-row relations (every union is a singleton, every child range
   is ``[0, 1)``);
 - deep chain skeletons (per-level recursion depth equals tree height);
-- randomly drawn operator applications over seeded databases, with
-  the arena<->object adapter counters asserted flat across the arena
-  run -- an operator that silently falls back to the object encoding
-  fails here, not just in the benchmarks.
+- randomly drawn operator applications over seeded databases.  An
+  arena relation has no object form to fall back to (reading ``.data``
+  raises ``TypeError``), so an operator without an arena kernel fails
+  here, not just in the benchmarks.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import pytest
 
 from repro import ops
 from repro.core.arena import validate_arena
-from repro.core.build import factorise
-from repro.core.factorised import ADAPTER, FactorisedRelation
+from repro.core.build import ArenaFactoriser, factorise
+from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
 from repro.engine import FDB
 from repro.query.query import ConstantCondition, Query
@@ -130,13 +130,7 @@ def test_random_steps_match_object_twin(seed):
         base = Query.make(query.relations)
         arena_fr, object_fr = _twins(db, base)
         for kind, args in _candidate_steps(arena_fr.tree, rng):
-            before = ADAPTER.snapshot()["to_object_calls"]
             arena_out = _apply(kind, arena_fr, args)
-            after = ADAPTER.snapshot()["to_object_calls"]
-            assert after == before, (
-                f"seed {seed} {kind}{args}: arena op took "
-                f"{after - before} adapter round trips"
-            )
             object_out = _apply(kind, object_fr, args)
             _assert_twin(
                 arena_out, object_out, f"seed {seed} {kind}{args}"
@@ -305,7 +299,7 @@ def test_deep_chain_skeleton_matches():
     depth = 60
     tree, relations = _chain(depth)
     arena_fr = FactorisedRelation(
-        tree, arena=factorise(relations, tree, encoding="arena")
+        tree, arena=ArenaFactoriser(relations, tree).run()
     )
     object_fr = FactorisedRelation(
         tree, factorise(relations, tree)
@@ -313,10 +307,7 @@ def test_deep_chain_skeleton_matches():
     # Swap at the very bottom of the chain, then renormalise: the
     # kernels recurse the full spine both ways.
     a, b = f"x{depth - 2:03d}", f"x{depth - 1:03d}"
-    before = ADAPTER.snapshot()["to_object_calls"]
     arena_out = ops.normalise(ops.swap(arena_fr, a, b))
-    after = ADAPTER.snapshot()["to_object_calls"]
-    assert after == before, "deep chain took adapter round trips"
     object_out = ops.normalise(ops.swap(object_fr, a, b))
     _assert_twin(arena_out, object_out, "deep chain swap+normalise")
 
@@ -335,7 +326,7 @@ def test_compiled_plans_match_object_stepwise(seed):
     arena_engine = FDB(db, encoding="arena")
     object_engine = FDB(db)
     with_steps = 0
-    for index, query in enumerate(queries):
+    for query in queries:
         base = Query.make(query.relations)
         arena_fr, object_fr = _twins(db, base)
         followup = Query.make(
@@ -344,14 +335,8 @@ def test_compiled_plans_match_object_stepwise(seed):
                 (eq.left, eq.right) for eq in query.equalities
             ],
         )
-        before = ADAPTER.snapshot()["to_object_calls"]
         arena_out, arena_plan = arena_engine.evaluate_on(
             arena_fr, followup
-        )
-        after = ADAPTER.snapshot()["to_object_calls"]
-        assert after == before, (
-            f"seed {seed} query {index}: compiled plan took "
-            f"{after - before} adapter round trips"
         )
         object_out, object_plan = object_engine.evaluate_on(
             object_fr, followup

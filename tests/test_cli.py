@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from repro import persist
 from repro.cli import main
 from repro.relational.csvio import dump_database
 from repro.workloads import grocery_database
@@ -67,7 +68,7 @@ def test_query_greedy_planner(csv_dir, capsys):
 
 
 def test_compile_and_stats_round_trip(csv_dir, tmp_path, capsys):
-    out_path = str(tmp_path / "compiled.json")
+    out_path = str(tmp_path / "compiled.fdbp")
     code = main(
         [
             "compile",
@@ -81,15 +82,34 @@ def test_compile_and_stats_round_trip(csv_dir, tmp_path, capsys):
         ]
     )
     assert code == 0
-    assert os.path.exists(out_path)
-    with open(out_path) as handle:
-        doc = json.load(handle)
-    assert doc["format"] == "fdb-factorised"
+    saved = persist.load(out_path)
+    assert persist.inspect(out_path)["kind"] == "arena"
+    compiled = capsys.readouterr().out
+    assert f"saved {saved.count()} tuples as {saved.size()}" in compiled
 
     code = main(["stats", out_path])
     assert code == 0
     out = capsys.readouterr().out
-    assert "tuples" in out
+    assert f"{saved.count()} tuples, {saved.size()} singletons" in out
+
+
+def test_stats_rejects_old_json_factorisation(tmp_path):
+    """A result in the retired JSON format is a typed load error: the
+    command exits non-zero with the PersistError text, no traceback."""
+    old = tmp_path / "compiled.json"
+    old.write_text(json.dumps({"format": "fdb-factorised", "version": 1}))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "stats", str(old)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode != 0
+    assert "not an FDBP file" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_experiment_command(capsys):

@@ -48,8 +48,9 @@ def _queries(db: Database, seed: int, count: int) -> List[Query]:
 def fdb_rows(
     db: Database, query: Query
 ) -> Tuple[Tuple[str, ...], List[tuple]]:
-    """FDB result as (sorted attribute order, sorted distinct rows)."""
-    fr = FDB(db, check_invariants=True).evaluate(query)
+    """The object-encoding oracle's result as (sorted attribute order,
+    sorted distinct rows)."""
+    fr = FDB(db, encoding="object", check_invariants=True).evaluate(query)
     order = fr.attributes
     return order, sorted(set(fr.rows(order)))
 
@@ -333,7 +334,7 @@ def test_remote_executor_multi_worker_path_agrees(
     path = str(tmp_path / "sharded")
     persist.save(sharded, path)
     queries = _queries(db, query_seed, count)
-    worker_a = QuerySession(persist.load(path), encoding="arena")
+    worker_a = QuerySession(persist.load(path))
     worker_b = QuerySession(persist.load(path))
     with ServerThread(worker_a) as server_a, ServerThread(
         worker_b
@@ -489,14 +490,13 @@ def test_arena_native_plans_agree_without_adapter_round_trips(
     """Force every query through the factorised-input path: factorise
     the bare join first, then run selections/projection as an f-plan
     over it, on both encodings.  The arena side must match the object
-    side, the one-shot engines and SQLite -- and must never round-trip
-    through the object encoding (the adapter counter stays flat)."""
-    from repro.core.factorised import ADAPTER
-
+    side, the one-shot engines and SQLite.  An arena relation has no
+    object form to round-trip through (``.data`` raises), so the plan
+    must run arena-native end to end."""
     db = _database(db_seed)
     sqlite = SQLiteEngine(db)
     arena_engine = FDB(db, encoding="arena")
-    object_engine = FDB(db)
+    object_engine = FDB(db, encoding="object")
     restructured = 0
     for index, query in enumerate(_queries(db, query_seed, count)):
         base = Query.make(query.relations)
@@ -517,14 +517,8 @@ def test_arena_native_plans_agree_without_adapter_round_trips(
             f"arena plans, seed {db_seed}/{query_seed} "
             f"query {index}: {query}"
         )
-        before = ADAPTER.snapshot()["to_object_calls"]
         arena_out, arena_plan = arena_engine.evaluate_on(
             arena_fr, followup
-        )
-        after = ADAPTER.snapshot()["to_object_calls"]
-        assert after == before, (
-            f"{context}: {after - before} adapter round trips "
-            f"during plan {arena_plan}"
         )
         object_out, object_plan = object_engine.evaluate_on(
             object_fr, followup

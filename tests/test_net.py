@@ -121,7 +121,6 @@ def test_hello_describes_the_database(served):
     with RemoteSession(served.address) as client:
         info = client.server_info
         assert info["protocol"] == protocol.PROTOCOL_VERSION
-        assert info["encoding"] == "arena"
         assert info["sharded"] is False
         assert info["relations"] == ["R0", "R1", "R2"]
 
@@ -261,10 +260,10 @@ def test_stats_document_shape(served):
         assert stats["session"]["queries"] >= 1
         assert "plans" in stats["caches"]
         # The stats frame is the unified registry snapshot: the
-        # instruments and the adapter tallies ride along.
+        # instruments and the result-cache counters ride along.
         assert "metrics" in stats
         assert stats["metrics"]["query_seconds"]["count"] >= 1
-        assert "adapter" in stats["caches"]
+        assert "results" in stats["caches"]
 
 
 def test_metrics_frame_returns_snapshot_and_prometheus_text(served):
@@ -295,7 +294,7 @@ def test_prometheus_http_endpoint_scrapes():
             body = response.read().decode("utf-8")
         assert "repro_query_seconds_bucket" in body
         assert "repro_server_requests" in body
-        assert "repro_caches_adapter_to_arena_calls" in body
+        assert "repro_caches_results_hits" in body
         # Anything else is a 404, and the server survives it.
         import urllib.error
 

@@ -1,4 +1,4 @@
-"""Property-based tests for aggregation and serialisation.
+"""Property-based tests for aggregation and FDBP serialisation.
 
 Complements ``test_properties.py``: the extension features must agree
 with brute-force enumeration / round-trip exactly, on arbitrary small
@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core import serialize
 from repro.engine import FDB
+from repro.persist import codec as persist_codec
 from repro.ops import absorb, push_up, pushable_nodes
 from repro.query.equivalence import UnionFind
 from repro.query.query import ConstantCondition, EqualityCondition, Query
@@ -25,11 +25,13 @@ SETTINGS = settings(max_examples=30, deadline=None)
 @given(databases_with_query())
 def test_serialisation_round_trip(db_query):
     db, query = db_query
-    fr = FDB(db).evaluate(query)
-    restored = serialize.loads(serialize.dumps(fr))
-    assert restored.tree.key() == fr.tree.key()
-    assert restored.data == fr.data
-    assert assignments(restored) == assignments(fr)
+    fr = FDB(db, encoding="arena").evaluate(query)
+    for original in (fr, fr.to_object()):
+        kind, header, payload = persist_codec.encode(original)
+        restored = persist_codec.decode(kind, header, payload)
+        assert restored.encoding == original.encoding
+        assert restored.tree.key() == original.tree.key()
+        assert assignments(restored) == assignments(original)
 
 
 @SETTINGS

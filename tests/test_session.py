@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import FDB
 from repro.query.parser import parse_query
 from repro.query.query import Query
 from repro.relational.database import Database
@@ -342,10 +343,13 @@ def test_session_arena_encoding_serves_and_caches(db):
         assert cold.factorised.encoding == "arena"
         assert not cold.cached and warm.cached
         assert cold.rows() == warm.rows()
-    with QuerySession(db) as reference:
-        assert reference.run(parse_query(JOIN)).rows() == cold.rows()
+    oracle = FDB(db, encoding="object").evaluate(parse_query(JOIN))
+    assert sorted(set(oracle.rows(cold.attributes))) == cold.rows()
 
 
 def test_session_rejects_unknown_encoding(db):
-    with pytest.raises(ValueError, match="encoding"):
-        QuerySession(db, encoding="columnar")
+    # Sessions are arena-only: the object encoding is the test oracle,
+    # reached through FDB(db, encoding="object") alone.
+    for encoding in ("columnar", "object"):
+        with pytest.raises(ValueError, match="encoding"):
+            QuerySession(db, encoding=encoding)
