@@ -347,7 +347,9 @@ class ArenaWriter:
     children forest turns out empty is *rolled back* by truncating
     every descendant column to its recorded watermark (pre-order makes
     descendants a contiguous index range, so a watermark is one length
-    per descendant column).
+    per descendant column).  Both also append whole blocks at once
+    (:meth:`copy_block`): the filter from its input arena, the factoriser
+    from entries it wrote earlier.
     """
 
     __slots__ = (
@@ -433,6 +435,25 @@ class ArenaWriter:
                 del slot[watermark:]
             for slot in self.child_hi[k]:
                 del slot[watermark:]
+
+    def copy_block(self, source, idx: int, lo: int, hi: int) -> None:
+        """Append entries ``[lo, hi)`` of node ``idx`` in ``source`` (an
+        :class:`ArenaRep`, or this writer itself) with everything below
+        them.  Their child unions tile one contiguous range per
+        descendant column, so the copy is one slice per column: value
+        ids verbatim, child ranges shifted by how far each child block
+        moves.  ``hi > lo`` (a block holds at least one entry)."""
+        values = self.values
+        _extend_ids(values[idx], source.values[idx], lo, hi)
+        for j, k in enumerate(self.skel.children[idx]):
+            los = source.child_lo[idx][j]
+            his = source.child_hi[idx][j]
+            child_lo = los[lo]
+            child_hi = his[hi - 1]
+            delta = len(values[k]) - child_lo
+            _extend_offset(self.child_lo[idx][j], los, lo, hi, delta)
+            _extend_offset(self.child_hi[idx][j], his, lo, hi, delta)
+            self.copy_block(source, k, child_lo, child_hi)
 
     def extend_leaf(self, idx: int, leaf_values: Sequence[object]) -> None:
         """Fast path: append a whole leaf union (no children, no marks)."""
@@ -671,63 +692,95 @@ def _prefix(counts: List[int]) -> List[int]:
     return list(accumulate(counts, initial=0))
 
 
+def _forest_counts(
+    arena: ArenaRep, idx: int, counts: List[object], consume: bool
+):
+    """Per entry of inner node ``idx``: the tuples its children forest
+    represents (the product over children of the child segment's
+    count).  A leaf child contributes its range width ``hi - lo``; an
+    inner child ``k`` reads ``counts[k]`` through a prefix sum that
+    lives only for that child, and with ``consume`` ``counts[k]`` is
+    dropped as soon as its prefix exists.  numpy-vectorised when the
+    products provably fit int64 (the ``_INT64_SAFE`` bound), exact
+    Python integers otherwise; the result is an int64 ndarray or a
+    list."""
+    skel = arena.skel
+    m = len(arena.values[idx])
+    kids = skel.children[idx]
+    if _np is not None and all(
+        not skel.children[k] or isinstance(counts[k], _np.ndarray)
+        for k in kids
+    ):
+        bound = 1
+        for k in kids:
+            if skel.children[k]:
+                child = counts[k]
+                peak = int(child.max()) if len(child) else 0
+                bound *= max(peak * len(child), 1)
+            else:
+                bound *= max(len(arena.values[k]), 1)
+            if bound > _INT64_SAFE:
+                break
+        if bound <= _INT64_SAFE:
+            total = None
+            for j, k in enumerate(kids):
+                lo = _as_np(arena.child_lo[idx][j])
+                hi = _as_np(arena.child_hi[idx][j])
+                if skel.children[k]:
+                    child = counts[k]
+                    prefix = _np.zeros(len(child) + 1, dtype=_np.int64)
+                    _np.cumsum(child, out=prefix[1:])
+                    child = None
+                    if consume:
+                        counts[k] = None
+                    segment = prefix[hi]
+                    segment -= prefix[lo]
+                    prefix = None
+                else:
+                    segment = hi - lo
+                if total is None:
+                    total = segment
+                else:
+                    total *= segment
+            return total
+    # Exact fallback (also the numpy-free path).
+    total_list = [1] * m
+    for j, k in enumerate(kids):
+        los = arena.child_lo[idx][j]
+        his = arena.child_hi[idx][j]
+        if not skel.children[k]:
+            for e in range(m):
+                total_list[e] *= his[e] - los[e]
+            continue
+        child = counts[k]
+        if _np is not None and isinstance(child, _np.ndarray):
+            child = child.tolist()
+        prefix = _prefix(child)
+        child = None
+        if consume:
+            counts[k] = None
+        for e in range(m):
+            total_list[e] *= prefix[his[e]] - prefix[los[e]]
+        prefix = None
+    return total_list
+
+
 def _entry_counts(arena: ArenaRep) -> List[object]:
     """Per node, per entry: tuples represented below-and-including the
-    entry (the children-forest product).  Bottom-up; numpy-vectorised
-    per node when the segment sums provably fit int64, exact Python
-    integers otherwise."""
+    entry (the children-forest product; 1 for a leaf entry).  Keeps
+    every node's array -- :func:`group_count` reads them all;
+    :func:`tuple_count` streams the same pass instead."""
     skel = arena.skel
     n = len(skel)
     counts: List[object] = [None] * n  # list[int] or int64 ndarray
     for idx in range(n - 1, -1, -1):
-        m = len(arena.values[idx])
-        kids = skel.children[idx]
-        if not kids:
-            counts[idx] = (
-                _np.ones(m, dtype=_np.int64)
-                if _np is not None
-                else [1] * m
-            )
+        if skel.children[idx]:
+            counts[idx] = _forest_counts(arena, idx, counts, False)
             continue
-        if _np is not None and all(
-            isinstance(counts[k], _np.ndarray) for k in kids
-        ):
-            bound = 1
-            for k in kids:
-                child = counts[k]
-                peak = int(child.max()) if len(child) else 0
-                bound *= max(peak * len(child), 1)
-                if bound > _INT64_SAFE:
-                    break
-            if bound <= _INT64_SAFE:
-                total = _np.ones(m, dtype=_np.int64)
-                for j, k in enumerate(kids):
-                    child = counts[k]
-                    prefix = _np.zeros(
-                        len(child) + 1, dtype=_np.int64
-                    )
-                    _np.cumsum(child, out=prefix[1:])
-                    lo = _np.frombuffer(
-                        arena.child_lo[idx][j], dtype=_np.int64
-                    )
-                    hi = _np.frombuffer(
-                        arena.child_hi[idx][j], dtype=_np.int64
-                    )
-                    total *= prefix[hi] - prefix[lo]
-                counts[idx] = total
-                continue
-        # Exact fallback (also the numpy-free path).
-        total_list = [1] * m
-        for j, k in enumerate(kids):
-            child = counts[k]
-            if _np is not None and isinstance(child, _np.ndarray):
-                child = child.tolist()
-            prefix = _prefix(child)
-            los = arena.child_lo[idx][j]
-            his = arena.child_hi[idx][j]
-            for e in range(m):
-                total_list[e] *= prefix[his[e]] - prefix[los[e]]
-        counts[idx] = total_list
+        m = len(arena.values[idx])
+        counts[idx] = (
+            _np.ones(m, dtype=_np.int64) if _np is not None else [1] * m
+        )
     return counts
 
 
@@ -739,13 +792,27 @@ def _column_total(column) -> int:
 
 
 def tuple_count(arena: Optional[ArenaRep]) -> int:
-    """Number of represented tuples, by sum/product over the columns."""
+    """Number of represented tuples, by sum/product over the columns.
+
+    Streams the bottom-up pass of :func:`_entry_counts`: leaves hold no
+    per-entry array (their parents read range widths), and an inner
+    node's array is dropped as soon as its parent has consumed it, so
+    only the counts of not-yet-consumed subtrees are live at once.
+    """
     if arena is None:
         return 0
-    counts = _entry_counts(arena)
+    skel = arena.skel
+    counts: List[object] = [None] * len(skel)
+    for idx in range(len(skel) - 1, -1, -1):
+        kids = skel.children[idx]
+        if kids:
+            counts[idx] = _forest_counts(arena, idx, counts, True)
     total = 1
-    for r in arena.skel.roots:
-        total *= _column_total(counts[r])
+    for r in skel.roots:
+        if skel.children[r]:
+            total *= _column_total(counts[r])
+        else:
+            total *= len(arena.values[r])
         if total == 0:
             return 0
     return total
@@ -1089,14 +1156,17 @@ def group_count(
 
 
 def _extend_offset(dest: array, source: array, lo: int, hi: int, delta: int) -> None:
-    """Append ``source[lo:hi] + delta`` to ``dest``."""
+    """Append ``source[lo:hi] + delta`` to ``dest`` (``dest`` may be
+    ``source`` itself)."""
     if delta == 0:
         dest.extend(source[lo:hi])
     elif _np is not None:
-        shifted = (
-            _np.frombuffer(source, dtype=_np.int64)[lo:hi] + delta
-        )
-        dest.frombytes(shifted.astype(_np.int64).tobytes())
+        # The sum is a fresh contiguous int64 array, appended through a
+        # byte view of it; the view of ``source`` it was computed from
+        # is released before ``dest`` resizes (a live export would make
+        # the resize a BufferError).
+        shifted = _np.frombuffer(source, dtype=_np.int64)[lo:hi] + delta
+        dest.frombytes(shifted.view(_np.uint8))
     else:
         dest.extend(x + delta for x in source[lo:hi])
 
@@ -1159,24 +1229,12 @@ def select_filter(
 
     keep, target_np = _keep_lookup(arena, target, predicate)
 
-    def copy_bulk(idx: int, lo: int, hi: int) -> None:
-        _extend_ids(new_values[idx], arena.values[idx], lo, hi)
-        for j, k in enumerate(skel.children[idx]):
-            los = arena.child_lo[idx][j]
-            his = arena.child_hi[idx][j]
-            child_lo = los[lo]
-            child_hi = his[hi - 1]
-            delta = len(new_values[k]) - child_lo
-            _extend_offset(new_lo[idx][j], los, lo, hi, delta)
-            _extend_offset(new_hi[idx][j], his, lo, hi, delta)
-            copy_bulk(k, child_lo, child_hi)
-
     def copy_target(lo: int, hi: int) -> bool:
         """Mask the target occurrence, bulk-copy the kept runs."""
         if target_np is not None:
             mask = keep[target_np[lo:hi]]
             if mask.all():
-                copy_bulk(target, lo, hi)
+                writer.copy_block(arena, target, lo, hi)
                 return True
             hits = _np.flatnonzero(mask)
             if not len(hits):
@@ -1184,8 +1242,8 @@ def select_filter(
             # Compact consecutive hits into [start, stop) runs.
             breaks = _np.flatnonzero(_np.diff(hits) > 1) + 1
             for run in _np.split(hits, breaks):
-                copy_bulk(
-                    target, lo + int(run[0]), lo + int(run[-1]) + 1
+                writer.copy_block(
+                    arena, target, lo + int(run[0]), lo + int(run[-1]) + 1
                 )
             return True
         column = arena.values[target]
@@ -1198,7 +1256,7 @@ def select_filter(
             stop = e + 1
             while stop < hi and keep[column[stop]]:
                 stop += 1
-            copy_bulk(target, e, stop)
+            writer.copy_block(arena, target, e, stop)
             kept = True
             e = stop
         return kept
@@ -1207,7 +1265,7 @@ def select_filter(
         if idx == target:
             return copy_target(lo, hi)
         if not on_path[idx]:
-            copy_bulk(idx, lo, hi)
+            writer.copy_block(arena, idx, lo, hi)
             return True
         column = arena.values[idx]
         kids = skel.children[idx]

@@ -19,6 +19,22 @@ into the children forest; values whose children forest is empty are
 pruned, so the constructed representation contains no empty unions.
 Tuples that violate an intra-relation class equality (two attributes of
 ``R`` in one class with different values) are skipped while indexing.
+
+The arena factoriser (:class:`ArenaFactoriser`) makes the recursion
+output-sensitive.  The union below an inner node ``v`` depends only on
+``v``'s *dependency key*: the proper ancestors of ``v`` that some
+relation indexed at ``v`` or in its subtree groups by.  When the
+f-tree makes that key a strict subset of ``v``'s ancestors (on a path
+``a -> b -> c -> d`` where only ``b``'s relations mention ``a``), the
+same union recurs under every ancestor prefix that agrees on the key.
+Such nodes are memoised per key: the first build records the range of
+entries it wrote into ``v``'s column (or that it came up empty), and
+every repeat appends a bulk copy of those entries and everything below
+them, child offsets shifted.  A rollback above ``v`` that truncates a
+recorded block also forgets it, so a later visit rebuilds.  Nodes whose
+key is all of their ancestors -- every visit a distinct context -- take
+the plain recursion.  The object :class:`Factoriser` stays the plain
+recursion: it is the oracle both encodings are tested against.
 """
 
 from __future__ import annotations
@@ -31,6 +47,10 @@ from repro.core.frep import ProductRep, UnionRep, merge_sorted_values
 from repro.relational.relation import Relation
 
 _Context = Dict[FrozenSet[str], object]
+
+#: Memo lookup default: a key never built (``None`` records an empty
+#: union).
+_UNSEEN = object()
 
 
 class _Source:
@@ -167,7 +187,8 @@ class Factoriser:
 
 
 class ArenaFactoriser(Factoriser):
-    """Factorise straight into the arena encoding.
+    """Factorise straight into the arena encoding, building each
+    repeated subtree once.
 
     Shares the pre-indexing and candidate intersection of
     :class:`Factoriser` but appends entries into flat integer columns
@@ -177,6 +198,24 @@ class ArenaFactoriser(Factoriser):
     truncating the descendant columns -- the exact analogue of the
     object builder's eager pruning, so both encodings always hold the
     same representation.
+
+    The union built at an inner node ``v`` reads the context only
+    through the *dependency key* of ``v``: the proper ancestors of
+    ``v`` that some relation indexed at ``v`` or below groups by.
+    Where the f-tree makes that key a strict subset of ``v``'s
+    ancestors, the same union recurs under every ancestor prefix that
+    agrees on the key, so ``v`` is *memoised*: the first build under a
+    key records the block it wrote -- the ``[start, stop)`` range of
+    ``v``'s column; the entries' child ranges locate the rest of the
+    subtree -- or that it came up empty, and every repeat is a bulk
+    copy of that block (:meth:`~repro.core.arena.ArenaWriter.
+    copy_block`) or an immediate ``False``.  A rollback above ``v``
+    may truncate a recorded block; the blocks of ``v`` sit in one
+    stack in column order, so the rollback pops exactly the ones its
+    watermark cuts.  Copies are byte-identical to a rebuild --
+    every value a rebuild would intern is already interned -- so the
+    output, pool order after ``finish()`` included, does not depend on
+    the memo.
     """
 
     def run(self, pool=None) -> Optional[ArenaRep]:  # type: ignore[override]
@@ -188,9 +227,47 @@ class ArenaFactoriser(Factoriser):
         recombine by id without re-interning.
         """
         writer = ArenaWriter(self.tree, pool)
+        self._plan_memo(writer.skel)
         if not self._emit_forest(self.tree.roots, {}, writer):
             return None
         return writer.finish()
+
+    def _plan_memo(self, skel) -> None:
+        """Per node index: the dependency key of memoised nodes (else
+        ``None``), an empty memo and block stack, and the memoised
+        strict descendants a rollback there must check."""
+        n = len(skel)
+        # Labels some relation groups by, per subtree (children have
+        # larger pre-order indices, so one reverse pass suffices).
+        read: List[set] = [set() for _ in range(n)]
+        for idx in range(n - 1, -1, -1):
+            for source in self._sources[skel.labels[idx]]:
+                read[idx].update(source.key_labels)
+            for k in skel.children[idx]:
+                read[idx] |= read[k]
+        self._keys: List[Optional[Tuple[FrozenSet[str], ...]]] = []
+        for idx in range(n):
+            ancestors = []
+            up = skel.parent[idx]
+            while up != -1:
+                ancestors.append(skel.labels[up])
+                up = skel.parent[up]
+            ancestors.reverse()
+            key = tuple(label for label in ancestors if label in read[idx])
+            memoised = skel.children[idx] and len(key) < len(ancestors)
+            self._keys.append(key if memoised else None)
+        self._memo: List[Dict[tuple, object]] = [{} for _ in range(n)]
+        self._blocks: List[List[Tuple[int, tuple]]] = [
+            [] for _ in range(n)
+        ]
+        self._memo_below: List[Tuple[int, ...]] = [
+            tuple(
+                k
+                for k in range(idx + 1, skel.end[idx])
+                if self._keys[k] is not None
+            )
+            for idx in range(n)
+        ]
 
     def _emit_forest(
         self,
@@ -212,6 +289,33 @@ class ArenaFactoriser(Factoriser):
             leaf_values = self._candidates(node, context)
             writer.extend_leaf(idx, leaf_values)
             return bool(leaf_values)
+        key_labels = self._keys[idx]
+        if key_labels is None:
+            return self._emit_entries(node, idx, context, writer)
+        key = tuple([context[label] for label in key_labels])
+        memo = self._memo[idx]
+        block = memo.get(key, _UNSEEN)
+        if block is None:
+            return False
+        if block is not _UNSEEN:
+            writer.copy_block(writer, idx, *block)
+            return True
+        start = writer.entry_count(idx)
+        if not self._emit_entries(node, idx, context, writer):
+            memo[key] = None
+            return False
+        stop = writer.entry_count(idx)
+        memo[key] = (start, stop)
+        self._blocks[idx].append((stop, key))
+        return True
+
+    def _emit_entries(
+        self,
+        node: FNode,
+        idx: int,
+        context: _Context,
+        writer: ArenaWriter,
+    ) -> bool:
         before = writer.entry_count(idx)
         for value in self._candidates(node, context):
             context[node.label] = value
@@ -222,7 +326,20 @@ class ArenaFactoriser(Factoriser):
                 writer.commit(idx, value, marks)
             else:
                 writer.rollback(idx, marks)
+                self._invalidate(idx, marks)
         return writer.entry_count(idx) > before
+
+    def _invalidate(self, idx: int, marks: List[int]) -> None:
+        """Forget the memoised blocks below ``idx`` that the rollback
+        to ``marks`` truncated.  A block lies wholly above or wholly
+        below a watermark (rollback marks are taken outside any block
+        under construction), and each node's blocks are stacked in
+        column order, so the cut ones are the top of the stack."""
+        for k in self._memo_below[idx]:
+            blocks = self._blocks[k]
+            watermark = marks[k - idx - 1]
+            while blocks and blocks[-1][0] > watermark:
+                del self._memo[k][blocks.pop()[1]]
 
 
 def factorise(

@@ -28,6 +28,7 @@ from repro.query.hypergraph import Hypergraph
 from repro.query.parser import parse_query
 from repro.query.query import ConstantCondition
 from repro.workloads import random_database, random_spj_queries
+from repro.workloads.generator import random_query
 
 #: >= 50 seeded databases for the round-trip / order properties.
 PROPERTY_SEEDS = list(range(300, 350))
@@ -73,15 +74,32 @@ def test_round_trip_and_enumeration_order(seed):
     fa.validate()
 
 
-@pytest.mark.parametrize("seed", PROPERTY_SEEDS[:10])
-def test_direct_arena_build_matches_object_build(seed):
-    """ArenaFactoriser output == from_product(object factorisation)."""
+#: Small SPJ results, plus larger three-relation joins (Experiment 3
+#: queries over 25-tuple relations); on several of these (304, 307,
+#: 309) the optimal f-tree has memoised subtrees that the build
+#: repeats by bulk copy.
+_BUILD_CASES = [
+    pytest.param(seed, 6, "spj", id=str(seed))
+    for seed in PROPERTY_SEEDS[:10]
+] + [
+    pytest.param(seed, 25, "join", id=f"join25-{seed}")
+    for seed in PROPERTY_SEEDS[:10]
+]
+
+
+@pytest.mark.parametrize("seed, tuples, shape", _BUILD_CASES)
+def test_direct_arena_build_matches_object_build(seed, tuples, shape):
+    """ArenaFactoriser output == from_product(object factorisation),
+    column for column and pool for pool."""
     db = random_database(
-        relations=3, attributes=7, tuples=6, domain=4, seed=seed
+        relations=3, attributes=7, tuples=tuples, domain=4, seed=seed
     )
-    query = random_spj_queries(
-        db, 1, seed=seed + 2000, max_relations=3, max_equalities=2
-    )[0]
+    if shape == "spj":
+        query = random_spj_queries(
+            db, 1, seed=seed + 2000, max_relations=3, max_equalities=2
+        )[0]
+    else:
+        query = random_query(db, 2, seed=seed + 2000)
     fdb = FDB(db)
     tree = fdb.optimal_tree(query)
     relations = [db[name] for name in query.relations]
@@ -89,10 +107,69 @@ def test_direct_arena_build_matches_object_build(seed):
     built = ArenaFactoriser(relations, tree).run()
     assert arena.to_product(built) == product
     if product is not None:
+        encoded = arena.from_product(tree, product)
+        assert built.values == encoded.values
+        assert built.child_lo == encoded.child_lo
+        assert built.child_hi == encoded.child_hi
+        assert built.pool == encoded.pool
         order = tuple(sorted(tree.attributes()))
         assert list(arena.iter_rows(built, order)) == list(
             FactorisedRelation(tree, product).rows(order)
         )
+
+
+def test_memoised_subtree_is_invalidated_by_a_rollback():
+    """``b``'s union depends on no ancestor, so it is built once and
+    copied -- but the copy source written under ``a = 1`` is rolled
+    back when ``c`` comes up empty there, and ``a = 2`` must rebuild
+    it rather than copy truncated columns."""
+    from repro.relational.relation import Relation
+
+    s = Relation.from_rows("S", ("b", "d"), [(1, 1), (1, 2), (2, 3)])
+    t = Relation.from_rows("T", ("a", "c"), [(1, 1), (2, 2), (3, 3)])
+    u = Relation.from_rows("U", ("a", "c"), [(1, 5), (2, 2), (3, 3)])
+    tree = FTree.from_nested(
+        [("a", [("b", [("d", [])]), ("c", [])])],
+        [{"b", "d"}, {"a", "c"}],
+    )
+    relations = [s, t, u]
+    built = ArenaFactoriser(relations, tree).run()
+    product = factorise(relations, tree)
+    assert arena.to_product(built) == product
+    arena.validate_arena(tree, built)
+    # a = 2 and a = 3 survive, each with the full b-union.
+    assert arena.tuple_count(built) == 2 * 3
+    assert list(built.values[1]) == list(built.values[1][:2]) * 2
+
+
+def test_memoised_node_intersects_candidates_once_per_key(monkeypatch):
+    """On the chain a -> b -> c -> d, ``c``'s union depends on ``b``
+    alone: its candidates are computed once per distinct ``b``, not
+    once per (a, b) prefix."""
+    from repro.relational.relation import Relation
+
+    r = Relation.from_rows(
+        "R", ("a", "b"), [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)]
+    )
+    s = Relation.from_rows("S", ("b", "c"), [(1, 1), (1, 2), (2, 2)])
+    t = Relation.from_rows("T", ("c", "d"), [(1, 7), (2, 8), (2, 9)])
+    tree = FTree.from_nested(
+        [("a", [("b", [("c", [("d", [])])])])],
+        [{"a", "b"}, {"b", "c"}, {"c", "d"}],
+    )
+    calls = []
+    original = ArenaFactoriser._candidates
+
+    def counted(self, node, context):
+        calls.append(node.label)
+        return original(self, node, context)
+
+    monkeypatch.setattr(ArenaFactoriser, "_candidates", counted)
+    relations = [r, s, t]
+    built = ArenaFactoriser(relations, tree).run()
+    assert arena.to_product(built) == factorise(relations, tree)
+    assert calls.count(frozenset({"c"})) == 2  # distinct b values
+    assert calls.count(frozenset({"b"})) == 3  # one per a value
 
 
 @pytest.mark.parametrize("seed", PROPERTY_SEEDS[:12])
@@ -341,6 +418,36 @@ def test_validate_arena_rejects_bad_ranges():
             break
     with pytest.raises(ArenaError):
         arena.validate_arena_bounds(fa.tree, broken)
+
+
+@pytest.mark.parametrize("numpy_path", [True, False], ids=["numpy", "stdlib"])
+def test_tuple_count_is_exact_above_the_int64_bound(numpy_path, monkeypatch):
+    """A count past ``_INT64_SAFE`` (1000**7 below one entry of ``p``)
+    takes the exact Python-int fallback, also for the parent that
+    reads ``p``'s counts, and matches the object encoding exactly."""
+    from repro.core.frep import UnionRep
+    from repro.core.size import tuple_count as object_count
+
+    if not numpy_path:
+        monkeypatch.setattr(arena, "_np", None)
+    leaves = [f"y{i}" for i in range(7)]
+    tree = FTree.from_nested(
+        [("r", [("p", [(y, []) for y in leaves]), ("q", [])])],
+        [{"r", "p"}, {"r", "q"}] + [{"p", y} for y in leaves],
+    )
+
+    def leaf(n):
+        return UnionRep([(v, ProductRep([])) for v in range(n)])
+
+    inner = UnionRep([(1, ProductRep([leaf(1000) for _ in leaves]))])
+    product = ProductRep(
+        [UnionRep([(1, ProductRep([inner, leaf(3)]))])]
+    )
+    rep = arena.from_product(tree, product)
+    expected = object_count(tree.roots, product)
+    assert expected == 3 * 1000**7 > arena._INT64_SAFE
+    assert arena.tuple_count(rep) == expected
+    assert arena.group_count(rep, "q") == {v: 1000**7 for v in range(3)}
 
 
 def test_pool_is_compacted_after_build():
