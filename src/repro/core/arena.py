@@ -16,19 +16,22 @@ pre-order):
 - ``values[i]`` -- one interned value id per union entry of node ``i``,
   across *all* occurrences of that node's unions, in DFS order (so each
   single union occupies a contiguous run, sorted by value);
-- ``child_lo[i][j]`` / ``child_hi[i][j]`` -- per entry, the half-open
-  range of entries in child ``j``'s columns holding that entry's child
-  union (DFS construction makes every child union contiguous);
+- ``offsets[i][j]`` -- the CSR offsets of the edge to child ``j``:
+  ``len(values[i]) + 1`` entries, starting at 0 and ending at the
+  length of the child's column.  Entry ``e``'s child union is the run
+  ``offsets[i][j][e]:offsets[i][j][e + 1]`` of the child's columns (DFS
+  construction makes the child unions tile the child column in parent
+  entry order, so one column holds both ends of every range);
 - ``pool`` -- the interned distinct values; ids are indices into it.
 
-One union entry therefore costs ``1 + 2 * #children`` machine-word
-array slots instead of a tuple, a ``ProductRep`` and per-child
-``UnionRep`` objects.  Columns are :class:`array.array` (``'q'``,
-int64) so they also serialise as raw bytes (see the ``arena`` blob kind
-in :mod:`repro.persist.codec`).  When numpy is importable the counting
-kernels use vectorised segment sums (with an explicit int64 overflow
-guard falling back to exact Python integers); the stdlib path is always
-available and always exact.
+One union entry therefore costs ``1 + #children`` int64 array slots
+(plus one offset per edge) instead of a tuple, a ``ProductRep`` and
+per-child ``UnionRep`` objects.  Columns are :class:`array.array`
+(``'q'``, int64) or int64 numpy arrays (zero-copy views into a mapped
+file), so they also serialise as raw bytes (see the ``arena`` blob kind
+in :mod:`repro.persist.codec`).  The counting kernels are numpy segment
+sums over the offsets, with an explicit int64 overflow guard falling
+back to exact Python integers.
 
 Conventions match the object encoding: the *empty* relation is encoded
 as ``None`` (never as an empty arena), and the nullary tuple
@@ -39,8 +42,8 @@ The arena is immutable by convention: operators never mutate columns in
 place, and derived arenas (selection filters, subtree-dropping
 projections) may *share* column arrays and the value pool with their
 source.  The pool may contain values that no surviving entry references
-(rolled-back build entries, filtered selections); decoding simply never
-visits them.
+(filtered selections, operator outputs); decoding simply never visits
+them.
 """
 
 from __future__ import annotations
@@ -60,18 +63,19 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.core.frep import FRepError, ProductRep, UnionRep
 from repro.core.ftree import FTree
-
-try:  # optional acceleration; the stdlib path below is always complete
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free CI
-    _np = None
 
 #: Pre-multiplication bound under which int64 arithmetic cannot
 #: overflow; counts that may exceed it are computed with exact Python
 #: integers instead of numpy.
 _INT64_SAFE = 1 << 62
+
+#: Entries per step of the pool compaction in :meth:`ArenaWriter.
+#: finish`: bounds its temporaries to a few copies of one chunk.
+_REMAP_CHUNK = 1 << 16
 
 
 class ArenaError(FRepError):
@@ -82,22 +86,55 @@ def _i64() -> array:
     return array("q")
 
 
-def _extend_ids(dest: array, source, lo: int, hi: int) -> None:
-    """Append ``source[lo:hi]`` (an ``array('q')`` or an int64 ndarray,
-    e.g. an mmap-backed column view) to ``dest`` verbatim."""
-    if _np is not None and isinstance(source, _np.ndarray):
-        dest.frombytes(source[lo:hi].tobytes())
-    else:
-        dest.extend(source[lo:hi])
-
-
 def _as_np(column):
-    """An int64 ndarray view of a column (``None`` without numpy)."""
-    if _np is None:
-        return None
-    if isinstance(column, _np.ndarray):
+    """An int64 ndarray view of a column (``array('q')`` or ndarray)."""
+    if isinstance(column, np.ndarray):
         return column
-    return _np.frombuffer(column, dtype=_np.int64)
+    return np.frombuffer(column, dtype=np.int64)
+
+
+def _extend_shifted(
+    dest: array, source, lo: int, hi: int, delta: int = 0
+) -> None:
+    """Append ``source[lo:hi] + delta`` to ``dest`` (``dest`` may be
+    ``source`` itself; ``source`` may be an mmap-backed ndarray)."""
+    if delta == 0 and isinstance(source, array):
+        dest.extend(source[lo:hi])
+        return
+    # The sum is a fresh contiguous int64 array, appended through a
+    # byte view of it; the view of ``source`` it was computed from is
+    # released before ``dest`` resizes (a live export would make the
+    # resize a BufferError).
+    dest.frombytes((_as_np(source)[lo:hi] + delta).view(np.uint8))
+
+
+def _compact_pool(columns: List[array], pool: Sequence[object]) -> List[object]:
+    """Renumber the value ids of ``columns`` in place to first-use order
+    (columns in node order, entries in column order) and return the
+    used values of ``pool`` in that order.
+
+    Works chunk by chunk: an id first seen in a chunk ranks after every
+    id of earlier chunks and, within the chunk, by its first position,
+    which is exactly first-use order.
+    """
+    remap = np.full(len(pool), -1, dtype=np.int64)
+    used: List[object] = []
+    for column in columns:
+        ids = _as_np(column)
+        for start in range(0, len(ids), _REMAP_CHUNK):
+            chunk = ids[start : start + _REMAP_CHUNK]
+            renamed = remap[chunk]
+            fresh = np.flatnonzero(renamed < 0)
+            if len(fresh):
+                new, first = np.unique(chunk[fresh], return_index=True)
+                new = new[np.argsort(first)]
+                remap[new] = np.arange(
+                    len(used), len(used) + len(new), dtype=np.int64
+                )
+                used.extend(pool[vid] for vid in new.tolist())
+                renamed = remap[chunk]
+            chunk[:] = renamed
+    return used
 
 
 class ValuePool:
@@ -238,20 +275,18 @@ def _skeleton_of(tree: FTree) -> _Skeleton:
 class ArenaRep:
     """A flat, columnar f-representation (see the module docstring)."""
 
-    __slots__ = ("skel", "values", "child_lo", "child_hi", "pool")
+    __slots__ = ("skel", "values", "offsets", "pool")
 
     def __init__(
         self,
         skel: _Skeleton,
         values: List[array],
-        child_lo: List[List[array]],
-        child_hi: List[List[array]],
+        offsets: List[List[array]],
         pool: List[object],
     ) -> None:
         self.skel = skel
         self.values = values
-        self.child_lo = child_lo
-        self.child_hi = child_hi
+        self.offsets = offsets
         self.pool = pool
 
     # -- introspection -----------------------------------------------------
@@ -275,11 +310,10 @@ class ArenaRep:
     def nbytes(self) -> int:
         """Approximate bytes held by the integer columns."""
         total = 0
-        for i, column in enumerate(self.values):
+        for column, edges in zip(self.values, self.offsets):
             total += column.itemsize * len(column)
-            for lo, hi in zip(self.child_lo[i], self.child_hi[i]):
-                total += lo.itemsize * len(lo)
-                total += hi.itemsize * len(hi)
+            for offsets in edges:
+                total += offsets.itemsize * len(offsets)
         return total
 
     def attributes(self) -> Tuple[str, ...]:
@@ -298,8 +332,7 @@ class ArenaRep:
         return ArenaRep(
             self.skel,
             [array("q", column) for column in self.values],
-            [[array("q", a) for a in slots] for slots in self.child_lo],
-            [[array("q", a) for a in slots] for slots in self.child_hi],
+            [[array("q", a) for a in edges] for edges in self.offsets],
             list(self.pool),
         )
 
@@ -308,20 +341,16 @@ class ArenaRep:
     def to_product(self) -> ProductRep:
         """Rebuild the object encoding (inverse of :func:`from_product`)."""
         skel, pool = self.skel, self.pool
-        values, child_lo, child_hi = (
-            self.values,
-            self.child_lo,
-            self.child_hi,
-        )
+        values, offsets = self.values, self.offsets
 
         def build_union(idx: int, lo: int, hi: int) -> UnionRep:
             kids = skel.children[idx]
             column = values[idx]
-            los, his = child_lo[idx], child_hi[idx]
+            edges = offsets[idx]
             entries = []
             for e in range(lo, hi):
                 factors = [
-                    build_union(k, los[j][e], his[j][e])
+                    build_union(k, edges[j][e], edges[j][e + 1])
                     for j, k in enumerate(kids)
                 ]
                 entries.append((pool[column[e]], ProductRep(factors)))
@@ -339,30 +368,30 @@ class ArenaRep:
 
 
 class ArenaWriter:
-    """Append-only arena construction with subtree rollback.
+    """Append-only arena construction with subtree rollback: the one
+    writer behind every arena the engine produces.
 
-    The ground-representation builder (:class:`repro.core.build.
-    ArenaFactoriser`) and the selection filter both construct arenas
-    entry by entry: children are written first, and an entry whose
+    Entries are written children first.  :meth:`commit` seals one entry
+    of a node by appending, per child, the child column's current
+    length as the entry's end offset -- its start is the previous
+    entry's end, so the offsets tile by construction.  An entry whose
     children forest turns out empty is *rolled back* by truncating
     every descendant column to its recorded watermark (pre-order makes
     descendants a contiguous index range, so a watermark is one length
-    per descendant column).  Both also append whole blocks at once
-    (:meth:`copy_block`): the filter from its input arena, the factoriser
-    from entries it wrote earlier.
+    per descendant column).  :meth:`copy_block` appends whole blocks
+    with everything below them: the factoriser from entries it wrote
+    earlier, the selection filter and the operator kernels from their
+    input arena.
+
+    Without a ``pool`` the writer interns into a private pool that
+    :meth:`finish` compacts.  With one it never compacts: a shared
+    :class:`ValuePool` is interned into, and the operator kernels pass
+    their input's pool and commit ids copied verbatim, never interning.
     """
 
-    __slots__ = (
-        "skel",
-        "values",
-        "child_lo",
-        "child_hi",
-        "pool",
-        "_intern",
-        "_shared",
-    )
+    __slots__ = ("skel", "values", "offsets", "pool", "_intern")
 
-    def __init__(self, tree_or_skel, pool: Optional[ValuePool] = None) -> None:
+    def __init__(self, tree_or_skel, pool=None) -> None:
         skel = (
             tree_or_skel
             if isinstance(tree_or_skel, _Skeleton)
@@ -371,30 +400,25 @@ class ArenaWriter:
         self.skel = skel
         n = len(skel)
         self.values: List[array] = [_i64() for _ in range(n)]
-        self.child_lo: List[List[array]] = [
-            [_i64() for _ in skel.children[i]] for i in range(n)
+        self.offsets: List[List[array]] = [
+            [array("q", (0,)) for _ in skel.children[i]] for i in range(n)
         ]
-        self.child_hi: List[List[array]] = [
-            [_i64() for _ in skel.children[i]] for i in range(n)
-        ]
-        self._shared = pool is not None
-        if self._shared:
-            self.pool = pool  # type: ignore[assignment]
-            self._intern = None  # type: ignore[assignment]
-            return
-        self.pool: List[object] = []
+        self.pool = [] if pool is None else pool
         # One intern table per value *type*: True == 1 and 1.0 == 1
         # must not collapse into one pool slot (decoding would change
         # value types), and a per-type dict avoids allocating a
-        # (type, value) key tuple on the build hot path.
-        self._intern: Dict[type, Dict[object, int]] = {}
+        # (type, value) key tuple on the build hot path.  ``None`` when
+        # the pool was given.
+        self._intern: Optional[Dict[type, Dict[object, int]]] = (
+            {} if pool is None else None
+        )
 
     @property
     def index(self) -> Dict[FrozenSet[str], int]:
         return self.skel.index
 
     def intern(self, value: object) -> int:
-        if self._shared:
+        if self._intern is None:
             return self.pool.intern(value)  # type: ignore[union-attr]
         table = self._intern.get(value.__class__)
         if table is None:
@@ -416,14 +440,14 @@ class ArenaWriter:
             for k in range(idx + 1, self.skel.end[idx])
         ]
 
-    def commit(self, idx: int, value: object, marks: List[int]) -> None:
-        """Seal one entry of node ``idx``: its children (written since
-        :meth:`mark`) become the entry's child ranges."""
+    def commit(self, idx: int, vid: int) -> None:
+        """Seal one entry of node ``idx`` with value id ``vid``: the
+        child entries written since the previous entry become its child
+        unions."""
         values = self.values
-        for j, k in enumerate(self.skel.children[idx]):
-            self.child_lo[idx][j].append(marks[k - idx - 1])
-            self.child_hi[idx][j].append(len(values[k]))
-        values[idx].append(self.intern(value))
+        for offsets, k in zip(self.offsets[idx], self.skel.children[idx]):
+            offsets.append(len(values[k]))
+        values[idx].append(vid)
 
     def rollback(self, idx: int, marks: List[int]) -> None:
         """Discard everything written below ``idx`` since :meth:`mark`."""
@@ -431,35 +455,59 @@ class ArenaWriter:
             range(idx + 1, self.skel.end[idx]), marks
         ):
             del self.values[k][watermark:]
-            for slot in self.child_lo[k]:
-                del slot[watermark:]
-            for slot in self.child_hi[k]:
-                del slot[watermark:]
+            for offsets in self.offsets[k]:
+                del offsets[watermark + 1 :]
 
-    def copy_block(self, source, idx: int, lo: int, hi: int) -> None:
-        """Append entries ``[lo, hi)`` of node ``idx`` in ``source`` (an
+    def copy_block(
+        self,
+        src,
+        si: int,
+        di: int,
+        lo: int,
+        hi: int,
+        vmap=None,
+    ) -> None:
+        """Append entries ``[lo, hi)`` of node ``si`` in ``src`` (an
         :class:`ArenaRep`, or this writer itself) with everything below
-        them.  Their child unions tile one contiguous range per
-        descendant column, so the copy is one slice per column: value
-        ids verbatim, child ranges shifted by how far each child block
-        moves.  ``hi > lo`` (a block holds at least one entry)."""
+        them to node ``di``.
+
+        The subtrees under ``si`` and ``di`` must be structurally
+        identical (same labels; canonical child sorting then makes the
+        child orders coincide, so the recursion is positional).  The
+        entries' child unions tile one contiguous run per descendant
+        column, so the copy is one slice per column: value ids verbatim
+        (or through ``vmap``, an id remap table, for cross-pool
+        copies), offsets shifted by how far each child run moves.
+        """
+        if hi <= lo:
+            return
         values = self.values
-        _extend_ids(values[idx], source.values[idx], lo, hi)
-        for j, k in enumerate(self.skel.children[idx]):
-            los = source.child_lo[idx][j]
-            his = source.child_hi[idx][j]
-            child_lo = los[lo]
-            child_hi = his[hi - 1]
-            delta = len(values[k]) - child_lo
-            _extend_offset(self.child_lo[idx][j], los, lo, hi, delta)
-            _extend_offset(self.child_hi[idx][j], his, lo, hi, delta)
-            self.copy_block(source, k, child_lo, child_hi)
+        if vmap is None:
+            _extend_shifted(values[di], src.values[si], lo, hi)
+        else:
+            values[di].frombytes(
+                vmap[_as_np(src.values[si])[lo:hi]].view(np.uint8)
+            )
+        dkids = self.skel.children[di]
+        for j, sk in enumerate(src.skel.children[si]):
+            offsets = src.offsets[si][j]
+            c_lo = int(offsets[lo])
+            c_hi = int(offsets[hi])
+            dk = dkids[j]
+            _extend_shifted(
+                self.offsets[di][j],
+                offsets,
+                lo + 1,
+                hi + 1,
+                len(values[dk]) - c_lo,
+            )
+            self.copy_block(src, sk, dk, c_lo, c_hi, vmap)
 
     def extend_leaf(self, idx: int, leaf_values: Sequence[object]) -> None:
         """Fast path: append a whole leaf union (no children, no marks)."""
         if not leaf_values:
             return
-        if self._shared:
+        if self._intern is None:
             pool_intern = self.pool.intern  # type: ignore[union-attr]
             self.values[idx].extend(
                 pool_intern(value) for value in leaf_values
@@ -484,34 +532,17 @@ class ArenaWriter:
             column.append(vid)
 
     def finish(self) -> ArenaRep:
-        """Compact the pool to referenced values and freeze the arena.
+        """Freeze the arena, compacting a private pool first.
 
         Rollbacks may leave interned values no surviving entry uses;
         remapping ids to first-use order keeps the pool tight and the
-        encoding deterministic for a given construction order.  A
-        *shared* :class:`ValuePool` is never compacted: its ids are
-        also referenced by other arenas.
+        encoding deterministic for a given construction order.  A given
+        pool is never compacted: its ids are also referenced by other
+        arenas.
         """
-        if self._shared:
-            return ArenaRep(
-                self.skel,
-                self.values,
-                self.child_lo,
-                self.child_hi,
-                self.pool,
-            )
-        remap: Dict[int, int] = {}
-        pool: List[object] = []
-        for column in self.values:
-            for e, vid in enumerate(column):
-                new = remap.get(vid)
-                if new is None:
-                    new = remap[vid] = len(pool)
-                    pool.append(self.pool[vid])
-                column[e] = new
-        return ArenaRep(
-            self.skel, self.values, self.child_lo, self.child_hi, pool
-        )
+        if self._intern is not None:
+            self.pool = _compact_pool(self.values, self.pool)
+        return ArenaRep(self.skel, self.values, self.offsets, self.pool)
 
 
 # -- conversion from the object encoding -------------------------------------
@@ -525,25 +556,16 @@ def from_product(
         return None
     writer = ArenaWriter(tree)
     skel = writer.skel
-    values = writer.values
-    child_lo, child_hi = writer.child_lo, writer.child_hi
-    intern = writer.intern
 
     def emit_union(idx: int, union: UnionRep) -> None:
         kids = skel.children[idx]
         if not kids:
-            values[idx].extend(
-                intern(value) for value, _ in union.entries
-            )
+            writer.extend_leaf(idx, [value for value, _ in union.entries])
             return
         for value, child in union.entries:
-            starts = [len(values[k]) for k in kids]
             for k, factor in zip(kids, child.factors):
                 emit_union(k, factor)
-            for j, k in enumerate(kids):
-                child_lo[idx][j].append(starts[j])
-                child_hi[idx][j].append(len(values[k]))
-            values[idx].append(intern(value))
+            writer.commit(idx, writer.intern(value))
 
     if len(product.factors) != len(skel.roots):
         raise ArenaError(
@@ -563,31 +585,19 @@ def to_product(arena: Optional[ArenaRep]) -> Optional[ProductRep]:
 # -- validation --------------------------------------------------------------
 
 
-def _column_bounds(column: array) -> Tuple[int, int]:
-    """(min, max) of a column, vectorised when numpy is present."""
-    if not len(column):
-        return 0, -1
-    if _np is not None:
-        view = _np.frombuffer(column, dtype=_np.int64)
-        return int(view.min()), int(view.max())
-    return min(column), max(column)
-
-
 def validate_arena_bounds(
     tree: FTree, arena: Optional[ArenaRep]
 ) -> None:
-    """Flat structural checks: skeleton alignment, column parallelism,
-    id and range bounds, and DFS contiguity.  O(entries) integer scans
-    (vectorised under numpy), so the persistence layer can afford them
-    on every load.
+    """Flat structural checks: skeleton alignment, value-id bounds and
+    the CSR shape of every offsets column.  O(entries) vectorised
+    scans, so the persistence layer can afford them on every load.
 
-    The *contiguity* (exact tiling) check matters beyond tidiness:
-    every construction path appends child unions in parent-entry
-    order, so ``child_lo[0] == 0``, ``child_hi[e] == child_lo[e+1]``
-    and ``child_hi[-1] == len(child column)``.  The bulk-copy kernels
-    (:func:`select_filter`) rely on that layout, so a CRC-valid but
-    tampered blob with merely in-bounds ranges must be rejected here,
-    not crash (or mis-answer) later.
+    An offsets column must hold one entry more than its parent column,
+    start at 0, end at the length of the child column and increase
+    strictly: exactly the DFS tiling every construction path writes,
+    with no empty child union.  The bulk-copy kernels rely on that
+    layout, so a CRC-valid but tampered blob must be rejected here, not
+    crash (or mis-answer) later.
     """
     if arena is None:
         return
@@ -598,51 +608,32 @@ def validate_arena_bounds(
     pool_size = len(arena.pool)
     for i in range(len(skel)):
         column = arena.values[i]
-        low, high = _column_bounds(column)
-        if len(column) and not (0 <= low and high < pool_size):
-            raise ArenaError(
-                f"node {i}: value ids outside the pool "
-                f"[{low}, {high}] vs {pool_size}"
-            )
-        for j, k in enumerate(skel.children[i]):
-            los = arena.child_lo[i][j]
-            his = arena.child_hi[i][j]
-            if len(los) != len(column) or len(his) != len(column):
+        if len(column):
+            ids = _as_np(column)
+            low, high = int(ids.min()), int(ids.max())
+            if not (0 <= low and high < pool_size):
                 raise ArenaError(
-                    f"node {i}: child ranges not parallel to values"
+                    f"node {i}: value ids outside the pool "
+                    f"[{low}, {high}] vs {pool_size}"
+                )
+        for j, k in enumerate(skel.children[i]):
+            offsets = _as_np(arena.offsets[i][j])
+            if len(offsets) != len(column) + 1:
+                raise ArenaError(
+                    f"node {i}: {len(offsets)} offsets for "
+                    f"{len(column)} entries (expected one more)"
                 )
             limit = len(arena.values[k])
-            if not len(column):
-                if limit:
-                    raise ArenaError(
-                        f"node {k}: orphaned child entries (parent "
-                        f"node {i} has none)"
-                    )
-                continue
-            if los[0] != 0 or his[-1] != limit:
+            if offsets[0] != 0 or offsets[-1] != limit:
                 raise ArenaError(
-                    f"node {i}: child ranges do not tile the child "
+                    f"node {i}: offsets do not tile the child "
                     f"column [0, {limit})"
                 )
-            if _np is not None:
-                lo_view = _np.frombuffer(los, dtype=_np.int64)
-                hi_view = _np.frombuffer(his, dtype=_np.int64)
-                bad = not bool((lo_view < hi_view).all())
-                if not bad and len(column) > 1:
-                    bad = not bool(
-                        (lo_view[1:] == hi_view[:-1]).all()
-                    )
-            else:
-                bad = any(lo >= hi for lo, hi in zip(los, his))
-                if not bad:
-                    bad = any(
-                        los[e + 1] != his[e]
-                        for e in range(len(column) - 1)
-                    )
-            if bad:
+            if not bool((offsets[1:] > offsets[:-1]).all()):
                 raise ArenaError(
-                    f"node {i}: child ranges are empty, overlap or "
-                    f"leave gaps (unions must tile in DFS order)"
+                    f"node {i}: offsets not strictly increasing "
+                    f"(child unions must be non-empty and tile in DFS "
+                    f"order)"
                 )
 
 
@@ -669,12 +660,9 @@ def validate_arena(tree: FTree, arena: Optional[ArenaRep]) -> None:
                     f"increasing at entry {e}"
                 )
         for j, k in enumerate(skel.children[idx]):
+            offsets = arena.offsets[idx][j]
             for e in range(lo, hi):
-                check_union(
-                    k,
-                    arena.child_lo[idx][j][e],
-                    arena.child_hi[idx][j][e],
-                )
+                check_union(k, offsets[e], offsets[e + 1])
 
     for r in skel.roots:
         check_union(r, 0, len(arena.values[r]))
@@ -697,70 +685,67 @@ def _forest_counts(
 ):
     """Per entry of inner node ``idx``: the tuples its children forest
     represents (the product over children of the child segment's
-    count).  A leaf child contributes its range width ``hi - lo``; an
-    inner child ``k`` reads ``counts[k]`` through a prefix sum that
-    lives only for that child, and with ``consume`` ``counts[k]`` is
-    dropped as soon as its prefix exists.  numpy-vectorised when the
-    products provably fit int64 (the ``_INT64_SAFE`` bound), exact
-    Python integers otherwise; the result is an int64 ndarray or a
-    list."""
+    count).  A leaf child contributes its union width (the offsets'
+    differences); an inner child ``k`` reads ``counts[k]`` through a
+    prefix sum that lives only for that child, and with ``consume``
+    ``counts[k]`` is dropped as soon as its prefix exists.  numpy
+    segment sums when the products provably fit int64 (the
+    ``_INT64_SAFE`` bound), exact Python integers otherwise; the result
+    is an int64 ndarray or a list."""
     skel = arena.skel
-    m = len(arena.values[idx])
     kids = skel.children[idx]
-    if _np is not None and all(
-        not skel.children[k] or isinstance(counts[k], _np.ndarray)
-        for k in kids
-    ):
-        bound = 1
-        for k in kids:
+    exact = False
+    bound = 1
+    for k in kids:
+        if skel.children[k]:
+            child = counts[k]
+            if not isinstance(child, np.ndarray):
+                exact = True
+                break
+            peak = int(child.max()) if len(child) else 0
+            bound *= max(peak * len(child), 1)
+        else:
+            bound *= max(len(arena.values[k]), 1)
+        if bound > _INT64_SAFE:
+            exact = True
+            break
+    if not exact:
+        total = None
+        for j, k in enumerate(kids):
+            offsets = _as_np(arena.offsets[idx][j])
             if skel.children[k]:
                 child = counts[k]
-                peak = int(child.max()) if len(child) else 0
-                bound *= max(peak * len(child), 1)
+                prefix = np.zeros(len(child) + 1, dtype=np.int64)
+                np.cumsum(child, out=prefix[1:])
+                child = None
+                if consume:
+                    counts[k] = None
+                segment = np.diff(prefix[offsets])
+                prefix = None
             else:
-                bound *= max(len(arena.values[k]), 1)
-            if bound > _INT64_SAFE:
-                break
-        if bound <= _INT64_SAFE:
-            total = None
-            for j, k in enumerate(kids):
-                lo = _as_np(arena.child_lo[idx][j])
-                hi = _as_np(arena.child_hi[idx][j])
-                if skel.children[k]:
-                    child = counts[k]
-                    prefix = _np.zeros(len(child) + 1, dtype=_np.int64)
-                    _np.cumsum(child, out=prefix[1:])
-                    child = None
-                    if consume:
-                        counts[k] = None
-                    segment = prefix[hi]
-                    segment -= prefix[lo]
-                    prefix = None
-                else:
-                    segment = hi - lo
-                if total is None:
-                    total = segment
-                else:
-                    total *= segment
-            return total
-    # Exact fallback (also the numpy-free path).
+                segment = np.diff(offsets)
+            if total is None:
+                total = segment
+            else:
+                total *= segment
+        return total
+    m = len(arena.values[idx])
     total_list = [1] * m
     for j, k in enumerate(kids):
-        los = arena.child_lo[idx][j]
-        his = arena.child_hi[idx][j]
+        offsets = _as_np(arena.offsets[idx][j]).tolist()
         if not skel.children[k]:
             for e in range(m):
-                total_list[e] *= his[e] - los[e]
+                total_list[e] *= offsets[e + 1] - offsets[e]
             continue
         child = counts[k]
-        if _np is not None and isinstance(child, _np.ndarray):
+        if isinstance(child, np.ndarray):
             child = child.tolist()
         prefix = _prefix(child)
         child = None
         if consume:
             counts[k] = None
         for e in range(m):
-            total_list[e] *= prefix[his[e]] - prefix[los[e]]
+            total_list[e] *= prefix[offsets[e + 1]] - prefix[offsets[e]]
         prefix = None
     return total_list
 
@@ -776,17 +761,14 @@ def _entry_counts(arena: ArenaRep) -> List[object]:
     for idx in range(n - 1, -1, -1):
         if skel.children[idx]:
             counts[idx] = _forest_counts(arena, idx, counts, False)
-            continue
-        m = len(arena.values[idx])
-        counts[idx] = (
-            _np.ones(m, dtype=_np.int64) if _np is not None else [1] * m
-        )
+        else:
+            counts[idx] = np.ones(len(arena.values[idx]), dtype=np.int64)
     return counts
 
 
 def _column_total(column) -> int:
     """Exact Python-int sum of a per-entry count column."""
-    if _np is not None and isinstance(column, _np.ndarray):
+    if isinstance(column, np.ndarray):
         return sum(column.tolist())
     return sum(column)
 
@@ -795,7 +777,7 @@ def tuple_count(arena: Optional[ArenaRep]) -> int:
     """Number of represented tuples, by sum/product over the columns.
 
     Streams the bottom-up pass of :func:`_entry_counts`: leaves hold no
-    per-entry array (their parents read range widths), and an inner
+    per-entry array (their parents read union widths), and an inner
     node's array is dropped as soon as its parent has consumed it, so
     only the counts of not-yet-consumed subtrees are live at once.
     """
@@ -861,8 +843,7 @@ def _compile_rows(
     lines: List[str] = [
         "def _rows(arena):",
         "    _values = arena.values",
-        "    _lo = arena.child_lo",
-        "    _hi = arena.child_hi",
+        "    _offsets = arena.offsets",
         "    _pool = arena.pool",
         f"    _buffer = [None] * {len(order)}",
     ]
@@ -870,8 +851,7 @@ def _compile_rows(
     for idx in range(len(skel)):
         lines.append(f"    _v{idx} = _values[{idx}]")
         for j, k in enumerate(skel.children[idx]):
-            lines.append(f"    _l{k} = _lo[{idx}][{j}]")
-            lines.append(f"    _h{k} = _hi[{idx}][{j}]")
+            lines.append(f"    _o{k} = _offsets[{idx}][{j}]")
 
     def emit(units: List[Tuple[int, Optional[int]]], depth: int) -> None:
         pad = "    " * (depth + 1)
@@ -883,7 +863,7 @@ def _compile_rows(
         if parent is None:
             rng = f"range(len(_v{idx}))"
         else:
-            rng = f"range(_l{idx}[_e{parent}], _h{idx}[_e{parent}])"
+            rng = f"range(_o{idx}[_e{parent}], _o{idx}[_e{parent} + 1])"
         lines.append(f"{pad}for {var} in {rng}:")
         body = "    " * (depth + 2)
         slots = [
@@ -924,7 +904,7 @@ def _iter_rows_walk(
     buffer: List[object] = [None] * len(order)
     pool = arena.pool
     values = arena.values
-    child_lo, child_hi = arena.child_lo, arena.child_hi
+    offsets = arena.offsets
     children = skel.children
 
     def walk(units: Tuple[Tuple[int, int, int], ...]) -> Iterator[tuple]:
@@ -936,13 +916,14 @@ def _iter_rows_walk(
         column = values[idx]
         slots = node_slots[idx]
         kids = children[idx]
-        los, his = child_lo[idx], child_hi[idx]
+        edges = offsets[idx]
         for e in range(lo, hi):
             value = pool[column[e]]
             for s in slots:
                 buffer[s] = value
             child_units = tuple(
-                (k, los[j][e], his[j][e]) for j, k in enumerate(kids)
+                (k, edges[j][e], edges[j][e + 1])
+                for j, k in enumerate(kids)
             )
             yield from walk(child_units + rest)
 
@@ -1025,6 +1006,7 @@ def _count_sum(
     for idx in range(n - 1, -1, -1):
         m = len(arena.values[idx])
         kids = skel.children[idx]
+        edges = arena.offsets[idx]
         here = attribute in skel.labels[idx]
         column = arena.values[idx]
         cnts: List[int] = []
@@ -1033,8 +1015,8 @@ def _count_sum(
             forest_count = 1
             forest_sum = 0.0
             for j, k in enumerate(kids):
-                lo = arena.child_lo[idx][j][e]
-                hi = arena.child_hi[idx][j][e]
+                lo = edges[j][e]
+                hi = edges[j][e + 1]
                 part_count = cnt_prefix[k][hi] - cnt_prefix[k][lo]
                 part_sum = sum_prefix[k][hi] - sum_prefix[k][lo]
                 forest_sum = (
@@ -1117,33 +1099,31 @@ def group_count(
     above: List[int] = [context] * len(arena.values[root])
 
     def seg_count(idx: int, j: int, e: int) -> int:
-        k = skel.children[idx][j]
-        child = counts[k]
-        lo = arena.child_lo[idx][j][e]
-        hi = arena.child_hi[idx][j][e]
-        if _np is not None and isinstance(child, _np.ndarray):
+        child = counts[skel.children[idx][j]]
+        offsets = arena.offsets[idx][j]
+        lo, hi = offsets[e], offsets[e + 1]
+        if isinstance(child, np.ndarray):
             return int(child[lo:hi].sum(dtype=object))
         return sum(child[lo:hi])
 
     for step, idx in enumerate(path[:-1]):
         next_node = path[step + 1]
         slot = skel.children[idx].index(next_node)
+        offsets = arena.offsets[idx][slot]
         next_above: List[int] = [0] * len(arena.values[next_node])
         for e in range(len(arena.values[idx])):
             others = above[e]
             for j in range(len(skel.children[idx])):
                 if j != slot:
                     others *= seg_count(idx, j, e)
-            lo = arena.child_lo[idx][slot][e]
-            hi = arena.child_hi[idx][slot][e]
-            for t in range(lo, hi):
+            for t in range(offsets[e], offsets[e + 1]):
                 next_above[t] = others
         above = next_above
 
     pool = arena.pool
     column = arena.values[target]
     below = counts[target]
-    if _np is not None and isinstance(below, _np.ndarray):
+    if isinstance(below, np.ndarray):
         below = below.tolist()
     out: Dict[object, int] = {}
     for e, vid in enumerate(column):
@@ -1155,44 +1135,23 @@ def group_count(
 # -- operator kernels --------------------------------------------------------
 
 
-def _extend_offset(dest: array, source: array, lo: int, hi: int, delta: int) -> None:
-    """Append ``source[lo:hi] + delta`` to ``dest`` (``dest`` may be
-    ``source`` itself)."""
-    if delta == 0:
-        dest.extend(source[lo:hi])
-    elif _np is not None:
-        # The sum is a fresh contiguous int64 array, appended through a
-        # byte view of it; the view of ``source`` it was computed from
-        # is released before ``dest`` resizes (a live export would make
-        # the resize a BufferError).
-        shifted = _np.frombuffer(source, dtype=_np.int64)[lo:hi] + delta
-        dest.frombytes(shifted.view(_np.uint8))
-    else:
-        dest.extend(x + delta for x in source[lo:hi])
-
-
 def _keep_lookup(
     arena: ArenaRep, target: int, predicate: Callable[[object], bool]
 ):
-    """A per-value-id keep table for ``target``'s column.
+    """A per-value-id keep table for ``target``'s column, and the
+    column as an ndarray.
 
     The predicate runs once per *distinct id actually present* in the
     column (never over the whole pool: a shared pool holds values of
     every attribute, on which the predicate could be meaningless), and
     the per-entry test collapses into an integer table lookup.
     """
-    column = arena.values[target]
+    column = _as_np(arena.values[target])
     pool = arena.pool
-    if _np is not None:
-        col = _as_np(column)
-        keep = _np.zeros(len(pool), dtype=bool)
-        for vid in _np.unique(col).tolist():
-            keep[vid] = bool(predicate(pool[vid]))
-        return keep, col
-    keep_dict: Dict[int, bool] = {}
-    for vid in set(column):
-        keep_dict[vid] = bool(predicate(pool[vid]))
-    return keep_dict, None
+    keep = np.zeros(len(pool), dtype=bool)
+    for vid in np.unique(column).tolist():
+        keep[vid] = bool(predicate(pool[vid]))
+    return keep, column
 
 
 def select_filter(
@@ -1209,8 +1168,8 @@ def select_filter(
     entry, and the predicate itself is vectorised: it runs once per
     distinct value id, the resulting boolean mask over the target
     column is compacted into maximal kept runs, and each run is
-    bulk-copied (values, child ranges and subtrees alike).  Returns
-    ``None`` when the whole relation empties.
+    bulk-copied (values, offsets and subtrees alike).  Returns ``None``
+    when the whole relation empties.
     """
     skel = arena.skel
     target = skel.node_of_attr(attribute)
@@ -1220,81 +1179,57 @@ def select_filter(
         on_path[walk_up] = True
         walk_up = skel.parent[walk_up]
 
-    writer = ArenaWriter(skel)
-    new_values = writer.values
-    new_lo, new_hi = writer.child_lo, writer.child_hi
-    pool = arena.pool
     # The output shares the input pool: value ids are copied verbatim.
-    writer.pool = pool  # type: ignore[attr-defined]
-
-    keep, target_np = _keep_lookup(arena, target, predicate)
+    writer = ArenaWriter(skel, arena.pool)
+    keep, target_ids = _keep_lookup(arena, target, predicate)
 
     def copy_target(lo: int, hi: int) -> bool:
         """Mask the target occurrence, bulk-copy the kept runs."""
-        if target_np is not None:
-            mask = keep[target_np[lo:hi]]
-            if mask.all():
-                writer.copy_block(arena, target, lo, hi)
-                return True
-            hits = _np.flatnonzero(mask)
-            if not len(hits):
-                return False
-            # Compact consecutive hits into [start, stop) runs.
-            breaks = _np.flatnonzero(_np.diff(hits) > 1) + 1
-            for run in _np.split(hits, breaks):
-                writer.copy_block(
-                    arena, target, lo + int(run[0]), lo + int(run[-1]) + 1
-                )
+        mask = keep[target_ids[lo:hi]]
+        if mask.all():
+            writer.copy_block(arena, target, target, lo, hi)
             return True
-        column = arena.values[target]
-        kept = False
-        e = lo
-        while e < hi:
-            if not keep[column[e]]:
-                e += 1
-                continue
-            stop = e + 1
-            while stop < hi and keep[column[stop]]:
-                stop += 1
-            writer.copy_block(arena, target, e, stop)
-            kept = True
-            e = stop
-        return kept
+        hits = np.flatnonzero(mask)
+        if not len(hits):
+            return False
+        # Compact consecutive hits into [start, stop) runs.
+        breaks = np.flatnonzero(np.diff(hits) > 1) + 1
+        for run in np.split(hits, breaks):
+            writer.copy_block(
+                arena,
+                target,
+                target,
+                lo + int(run[0]),
+                lo + int(run[-1]) + 1,
+            )
+        return True
 
     def copy_union(idx: int, lo: int, hi: int) -> bool:
         if idx == target:
             return copy_target(lo, hi)
         if not on_path[idx]:
-            writer.copy_block(arena, idx, lo, hi)
+            writer.copy_block(arena, idx, idx, lo, hi)
             return True
         column = arena.values[idx]
         kids = skel.children[idx]
+        edges = arena.offsets[idx]
         kept = False
         for e in range(lo, hi):
             marks = writer.mark(idx)
-            ok = True
-            for j, k in enumerate(kids):
-                if not copy_union(
-                    k,
-                    arena.child_lo[idx][j][e],
-                    arena.child_hi[idx][j][e],
-                ):
-                    ok = False
-                    break
-            if not ok:
+            if all(
+                copy_union(k, edges[j][e], edges[j][e + 1])
+                for j, k in enumerate(kids)
+            ):
+                writer.commit(idx, column[e])
+                kept = True
+            else:
                 writer.rollback(idx, marks)
-                continue
-            for j, k in enumerate(kids):
-                new_lo[idx][j].append(marks[k - idx - 1])
-                new_hi[idx][j].append(len(new_values[k]))
-            new_values[idx].append(column[e])
-            kept = True
         return kept
 
     for r in skel.roots:
         if not copy_union(r, 0, len(arena.values[r])):
             return None
-    return ArenaRep(skel, new_values, new_lo, new_hi, pool)
+    return writer.finish()
 
 
 def drop_subtrees(
@@ -1319,14 +1254,12 @@ def drop_subtrees(
             "dropped subtrees do not line up with the projected f-tree"
         )
     values = [arena.values[i] for i in kept]
-    child_lo: List[List[array]] = []
-    child_hi: List[List[array]] = []
-    for i in kept:
-        keep_slots = [
-            j
+    offsets = [
+        [
+            arena.offsets[i][j]
             for j, k in enumerate(skel.children[i])
             if k not in gone
         ]
-        child_lo.append([arena.child_lo[i][j] for j in keep_slots])
-        child_hi.append([arena.child_hi[i][j] for j in keep_slots])
-    return ArenaRep(new_skel, values, child_lo, child_hi, arena.pool)
+        for i in kept
+    ]
+    return ArenaRep(new_skel, values, offsets, arena.pool)

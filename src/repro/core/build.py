@@ -206,7 +206,7 @@ class ArenaFactoriser(Factoriser):
     ancestors, the same union recurs under every ancestor prefix that
     agrees on the key, so ``v`` is *memoised*: the first build under a
     key records the block it wrote -- the ``[start, stop)`` range of
-    ``v``'s column; the entries' child ranges locate the rest of the
+    ``v``'s column; the entries' offsets locate the rest of the
     subtree -- or that it came up empty, and every repeat is a bulk
     copy of that block (:meth:`~repro.core.arena.ArenaWriter.
     copy_block`) or an immediate ``False``.  A rollback above ``v``
@@ -298,7 +298,7 @@ class ArenaFactoriser(Factoriser):
         if block is None:
             return False
         if block is not _UNSEEN:
-            writer.copy_block(writer, idx, *block)
+            writer.copy_block(writer, idx, idx, *block)
             return True
         start = writer.entry_count(idx)
         if not self._emit_entries(node, idx, context, writer):
@@ -323,7 +323,7 @@ class ArenaFactoriser(Factoriser):
             ok = self._emit_forest(node.children, context, writer)
             del context[node.label]
             if ok:
-                writer.commit(idx, value, marks)
+                writer.commit(idx, writer.intern(value))
             else:
                 writer.rollback(idx, marks)
                 self._invalidate(idx, marks)

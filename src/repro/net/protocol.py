@@ -76,7 +76,7 @@ from repro.relational.relation import Relation
 from repro.service.session import SessionResult
 
 MAGIC = b"FN"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Default upper bound on one frame (header + payload), either way.
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024

@@ -4,13 +4,15 @@ The object implementations in :mod:`repro.ops.swap`, ``merge``,
 ``normalise`` and ``absorb`` rewrite ``UnionRep``/``ProductRep`` trees
 one Python object at a time and serve as the reference oracle.  This
 module implements each operator directly on the flat columns of
-:class:`~repro.core.arena.ArenaRep`:
+:class:`~repro.core.arena.ArenaRep`, writing through the one
+:class:`~repro.core.arena.ArenaWriter`:
 
 - value ids are copied **verbatim** (every kernel's output shares its
   input's pool), so no interning happens on the hot path;
 - subtrees untouched by an operator move as contiguous column runs
-  (:func:`_copy_run`: one ``memcpy``-shaped append per column, offsets
-  fixed up by a constant shift), never entry by entry;
+  (:meth:`~repro.core.arena.ArenaWriter.copy_block`: one
+  ``memcpy``-shaped append per column, offsets fixed up by a constant
+  shift), never entry by entry;
 - the per-occurrence driving loop (:class:`_LevelKernel.run`) mirrors
   :func:`repro.ops.base.rewrite_at_level` exactly, including its
   eager pruning of emptied unions.
@@ -41,146 +43,19 @@ import weakref
 from array import array
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.arena import (
     ArenaRep,
+    ArenaWriter,
     ValuePool,
     _as_np,
-    _extend_ids,
+    _extend_shifted,
     _i64,
-    _np,
     _skeleton_of,
-    _Skeleton,
 )
 from repro.core.factorised import FactorisedRelation
 from repro.core.ftree import FTree
-
-
-def _extend_shifted(dest: array, source, lo: int, hi: int, delta: int) -> None:
-    """Append ``source[lo:hi] + delta`` to ``dest`` (bulk, both column
-    kinds: ``array('q')`` and mmap-backed int64 ndarrays)."""
-    if delta == 0:
-        _extend_ids(dest, source, lo, hi)
-    elif _np is not None:
-        view = _as_np(source)[lo:hi] + delta
-        dest.frombytes(view.tobytes())
-    else:
-        dest.extend(x + delta for x in source[lo:hi])
-
-
-class _Writer:
-    """Append-only column writer that never interns.
-
-    The operator kernels copy value ids verbatim from their input (the
-    output shares the input pool), so unlike
-    :class:`~repro.core.arena.ArenaWriter` there is no intern table:
-    :meth:`commit_id` takes the id directly.  ``mark``/``rollback``
-    give the same contiguous-subtree transaction the build path uses.
-    """
-
-    __slots__ = ("skel", "values", "child_lo", "child_hi", "scratch")
-
-    def __init__(self, skel: _Skeleton) -> None:
-        n = len(skel)
-        self.skel = skel
-        self.values: List[array] = [_i64() for _ in range(n)]
-        self.child_lo: List[List[array]] = [
-            [_i64() for _ in skel.children[i]] for i in range(n)
-        ]
-        self.child_hi: List[List[array]] = [
-            [_i64() for _ in skel.children[i]] for i in range(n)
-        ]
-        #: Per-run kernel scratch (e.g. the decoded pool rank table of
-        #: the vectorised swap).  Lives on the writer, not the kernel:
-        #: prepared kernels are cached and shared across executions --
-        #: and threads -- while a writer belongs to exactly one run.
-        self.scratch: Dict[str, object] = {}
-
-    def mark(self, idx: int) -> List[int]:
-        values = self.values
-        return [
-            len(values[k]) for k in range(idx + 1, self.skel.end[idx])
-        ]
-
-    def commit_id(self, idx: int, vid: int, marks: List[int]) -> None:
-        values = self.values
-        for j, k in enumerate(self.skel.children[idx]):
-            self.child_lo[idx][j].append(marks[k - idx - 1])
-            self.child_hi[idx][j].append(len(values[k]))
-        values[idx].append(vid)
-
-    def mark_children(self, idx: int) -> List[int]:
-        """Direct-children watermarks only -- for commit sites that
-        never roll back (:meth:`mark` snapshots the whole descendant
-        range, which the hot per-entry loops cannot afford)."""
-        values = self.values
-        return [len(values[k]) for k in self.skel.children[idx]]
-
-    def commit_children(
-        self, idx: int, vid: int, cmarks: List[int]
-    ) -> None:
-        values = self.values
-        child_lo = self.child_lo[idx]
-        child_hi = self.child_hi[idx]
-        for j, k in enumerate(self.skel.children[idx]):
-            child_lo[j].append(cmarks[j])
-            child_hi[j].append(len(values[k]))
-        values[idx].append(vid)
-
-    def rollback(self, idx: int, marks: List[int]) -> None:
-        for k, watermark in zip(
-            range(idx + 1, self.skel.end[idx]), marks
-        ):
-            del self.values[k][watermark:]
-            for slot in self.child_lo[k]:
-                del slot[watermark:]
-            for slot in self.child_hi[k]:
-                del slot[watermark:]
-
-    def finish(self, pool) -> ArenaRep:
-        return ArenaRep(
-            self.skel, self.values, self.child_lo, self.child_hi, pool
-        )
-
-
-def _copy_run(
-    src: ArenaRep,
-    w: _Writer,
-    si: int,
-    di: int,
-    lo: int,
-    hi: int,
-    vmap=None,
-) -> None:
-    """Bulk-append entries ``[lo, hi)`` of src node ``si`` (and their
-    whole descendant forests) to dst node ``di``.
-
-    Requires structurally identical subtrees under ``si`` and ``di``
-    (same labels; canonical child sorting then makes the child orders
-    coincide, so the recursion is positional).  Values copy verbatim,
-    or through ``vmap`` (an id remap table) for cross-pool copies;
-    child ranges copy with one constant shift per (slot, run).
-    """
-    if hi <= lo:
-        return
-    if vmap is None:
-        _extend_ids(w.values[di], src.values[si], lo, hi)
-    elif _np is not None:
-        col = _as_np(src.values[si])[lo:hi]
-        w.values[di].frombytes(vmap[col].tobytes())
-    else:
-        column = src.values[si]
-        w.values[di].extend(vmap[column[e]] for e in range(lo, hi))
-    skids = src.skel.children[si]
-    dkids = w.skel.children[di]
-    for j in range(len(skids)):
-        los = src.child_lo[si][j]
-        his = src.child_hi[si][j]
-        c_lo = los[lo]
-        c_hi = his[hi - 1]
-        delta = len(w.values[dkids[j]]) - c_lo
-        _extend_shifted(w.child_lo[di][j], los, lo, hi, delta)
-        _extend_shifted(w.child_hi[di][j], his, lo, hi, delta)
-        _copy_run(src, w, skids[j], dkids[j], c_lo, c_hi, vmap)
 
 
 def _pool_rank(pool):
@@ -189,16 +64,14 @@ def _pool_rank(pool):
     per-type, so ``1`` and ``1.0`` hold distinct ids) share a rank,
     mirroring the heap path's equality grouping.  Returns ``False``
     when the pool holds incomparable values (the caller falls back to
-    the heap) or numpy is unavailable.
+    the heap).
     """
-    if _np is None:
-        return False
     size = len(pool)
     try:
         order = sorted(range(size), key=pool.__getitem__)
     except TypeError:
         return False
-    rank = _np.empty(size, dtype=_np.int64)
+    rank = np.empty(size, dtype=np.int64)
     current = -1
     previous = object()
     for vid in order:
@@ -306,29 +179,27 @@ class _LevelKernel:
         """Entry range of level member ``node`` at occurrence ``e``."""
         if e is None:
             return 0, len(arena.values[node])
-        return (
-            arena.child_lo[self.p][pos][e],
-            arena.child_hi[self.p][pos][e],
-        )
+        offsets = arena.offsets[self.p][pos]
+        return offsets[e], offsets[e + 1]
 
     def _copy_passthrough(
-        self, arena: ArenaRep, w: _Writer, e: Optional[int]
+        self, arena: ArenaRep, w: ArenaWriter, e: Optional[int]
     ) -> None:
         for pos, m, dm in self.passthrough:
             lo, hi = self._rng(arena, pos, m, e)
-            _copy_run(arena, w, m, dm, lo, hi)
+            w.copy_block(arena, m, dm, lo, hi)
 
     def level(
-        self, arena: ArenaRep, w: _Writer, e: Optional[int]
+        self, arena: ArenaRep, w: ArenaWriter, e: Optional[int]
     ) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def run(self, arena: ArenaRep) -> Optional[ArenaRep]:
-        w = _Writer(self.dskel)
+        w = ArenaWriter(self.dskel, arena.pool)
         if self.p == -1:
             if not self.level(arena, w, None):
                 return None
-            return w.finish(arena.pool)
+            return w.finish()
         spine = self.spine
         sskel = self.sskel
         last = len(spine) - 1
@@ -336,31 +207,21 @@ class _LevelKernel:
         def walk(d: int, lo: int, hi: int) -> bool:
             sx, dx, j_cont, passthrough = spine[d]
             vals = arena.values[sx]
+            edges = arena.offsets[sx]
             kept = False
-            if d == last:
-                for e in range(lo, hi):
-                    marks = w.mark(dx)
-                    if self.level(arena, w, e):
-                        w.commit_id(dx, vals[e], marks)
-                        kept = True
-                    else:
-                        w.rollback(dx, marks)
-                return kept
-            los = arena.child_lo[sx][j_cont]
-            his = arena.child_hi[sx][j_cont]
             for e in range(lo, hi):
                 marks = w.mark(dx)
-                if walk(d + 1, los[e], his[e]):
+                if d == last:
+                    ok = self.level(arena, w, e)
+                else:
+                    cont = edges[j_cont]
+                    ok = walk(d + 1, cont[e], cont[e + 1])
+                if ok:
                     for j, k, dk in passthrough:
-                        _copy_run(
-                            arena,
-                            w,
-                            k,
-                            dk,
-                            arena.child_lo[sx][j][e],
-                            arena.child_hi[sx][j][e],
+                        w.copy_block(
+                            arena, k, dk, edges[j][e], edges[j][e + 1]
                         )
-                    w.commit_id(dx, vals[e], marks)
+                    w.commit(dx, vals[e])
                     kept = True
                 else:
                     w.rollback(dx, marks)
@@ -371,15 +232,14 @@ class _LevelKernel:
             return None
         for r in sskel.roots:
             if r != root:
-                _copy_run(
+                w.copy_block(
                     arena,
-                    w,
                     r,
                     self.dskel.index[sskel.labels[r]],
                     0,
                     len(arena.values[r]),
                 )
-        return w.finish(arena.pool)
+        return w.finish()
 
 
 # -- swap ---------------------------------------------------------------------
@@ -438,12 +298,11 @@ class SwapKernel(_LevelKernel):
         ]
         self._keep_members((self.sa,))
         # Leaf-shaped swap (B is A's only subtree and carries none of
-        # its own): the whole occurrence reduces to one argsort-and-
-        # group over the B column -- no per-entry Python at all.
+        # its own): the whole arena reduces to one argsort-and-group
+        # over the B column -- no per-entry Python at all.
         self.j_a_slot = dskel.children[self.dnb].index(self.dna)
         self.leaf_fast = (
-            _np is not None
-            and not self.e_slots
+            not self.e_slots
             and not self.tb_slots
             and not self.tab_slots
             and not dskel.children[self.dna]
@@ -478,155 +337,64 @@ class SwapKernel(_LevelKernel):
         """Whole-column batched swap: one argsort over a composite
         (occurrence, value-rank) key replaces the per-occurrence walk
         entirely.  Falls back to the generic driver when the shape is
-        not leaf-fast, the pool is not comparable, or columns are not
-        occurrence-contiguous."""
-        if not self.leaf_fast:
-            return super().run(arena)
-        rank = _pool_rank(arena.pool)
+        not leaf-fast or the pool is not comparable."""
+        rank = _pool_rank(arena.pool) if self.leaf_fast else False
         if rank is False:
             return super().run(arena)
-        np = _np
-        sskel = self.sskel
         sa, sb, p = self.sa, self.sb, self.p
         vals_a = _as_np(arena.values[sa])
         vals_b = _as_np(arena.values[sb])
-        n_a = len(vals_a)
-        if n_a == 0:
-            return None
-        bl = _as_np(arena.child_lo[sa][self.j_b])
-        bh = _as_np(arena.child_hi[sa][self.j_b])
-        if len(vals_b) != int((bh - bl).sum()):
-            return super().run(arena)
         if p != -1:
-            occ_lo = _as_np(arena.child_lo[p][self.a_pos])
-            occ_hi = _as_np(arena.child_hi[p][self.a_pos])
-            if n_a != int((occ_hi - occ_lo).sum()):
-                return super().run(arena)
+            per_a_occ = np.diff(_as_np(arena.offsets[p][self.a_pos]))
             a_occ = np.repeat(
-                np.arange(len(occ_lo), dtype=np.int64),
-                occ_hi - occ_lo,
+                np.arange(len(per_a_occ), dtype=np.int64), per_a_occ
             )
         else:
-            occ_lo = None
-            a_occ = np.zeros(n_a, dtype=np.int64)
+            a_occ = np.zeros(len(vals_a), dtype=np.int64)
         owners = np.repeat(
-            np.arange(n_a, dtype=np.int64), bh - bl
+            np.arange(len(vals_a), dtype=np.int64),
+            np.diff(_as_np(arena.offsets[sa][self.j_b])),
         )
         kb = rank[vals_b]
         occ_b = a_occ[owners]
-        stride = int(kb.max()) + 1 if len(kb) else 1
-        order = np.argsort(occ_b * stride + kb, kind="stable")
-        comp_sorted = (occ_b * stride + kb)[order]
-        boundary = (
-            np.flatnonzero(comp_sorted[1:] != comp_sorted[:-1]) + 1
+        composite = occ_b * (int(kb.max()) + 1) + kb
+        order = np.argsort(composite, kind="stable")
+        comp_sorted = composite[order]
+        # Group g of equal (occurrence, B value) keys spans
+        # starts[g]:ends[g] of the sorted order; ends are the CSR tail.
+        ends = np.append(
+            np.flatnonzero(comp_sorted[1:] != comp_sorted[:-1]) + 1,
+            len(comp_sorted),
         )
-        n_out = len(comp_sorted)
-        starts = np.concatenate(
-            (np.zeros(1, dtype=np.int64), boundary)
-        )
-        ends = np.concatenate(
-            (boundary, np.asarray([n_out], dtype=np.int64))
-        )
-        w = _Writer(self.dskel)
-        w.values[self.dna].frombytes(
-            vals_a[owners[order]].tobytes()
-        )
-        b_sorted = vals_b[order]
-        w.values[self.dnb].frombytes(b_sorted[starts].tobytes())
-        w.child_lo[self.dnb][self.j_a_slot].frombytes(
-            starts.tobytes()
-        )
-        w.child_hi[self.dnb][self.j_a_slot].frombytes(
-            ends.tobytes()
-        )
+        starts = np.append(0, ends[:-1])
+        w = ArenaWriter(self.dskel, arena.pool)
+        w.values[self.dna].frombytes(vals_a[owners[order]].view(np.uint8))
+        w.values[self.dnb].frombytes(vals_b[order][starts].view(np.uint8))
+        w.offsets[self.dnb][self.j_a_slot].frombytes(ends.view(np.uint8))
         if p != -1:
-            per_occ = np.bincount(
-                occ_b[order][starts], minlength=len(occ_lo)
+            group_ends = np.cumsum(
+                np.bincount(occ_b[order][starts], minlength=len(per_a_occ))
             ).astype(np.int64)
-            group_hi = np.cumsum(per_occ)
-            group_lo = group_hi - per_occ
         for si, di, slots in self.copy_plan:
             column = arena.values[si]
-            _extend_ids(w.values[di], column, 0, len(column))
+            _extend_shifted(w.values[di], column, 0, len(column))
             for j, dj, k in slots:
                 if si == p and k == sa:
-                    w.child_lo[di][dj].frombytes(group_lo.tobytes())
-                    w.child_hi[di][dj].frombytes(group_hi.tobytes())
+                    w.offsets[di][dj].frombytes(group_ends.view(np.uint8))
                     continue
-                src_lo = arena.child_lo[si][j]
-                src_hi = arena.child_hi[si][j]
-                _extend_ids(w.child_lo[di][dj], src_lo, 0, len(src_lo))
-                _extend_ids(w.child_hi[di][dj], src_hi, 0, len(src_hi))
-        return w.finish(arena.pool)
-
-    def _level_vectorised(
-        self, arena: ArenaRep, w: _Writer, e: Optional[int], rank
-    ) -> bool:
-        np = _np
-        sa, sb = self.sa, self.sb
-        a_lo, a_hi = self._rng(arena, self.a_pos, sa, e)
-        if a_hi <= a_lo:
-            return self._level_heap(arena, w, e)
-        bl = _as_np(arena.child_lo[sa][self.j_b])
-        bh = _as_np(arena.child_hi[sa][self.j_b])
-        seg_lo = int(bl[a_lo])
-        seg_hi = int(bh[a_hi - 1])
-        counts = bh[a_lo:a_hi] - bl[a_lo:a_hi]
-        if seg_hi - seg_lo != int(counts.sum()):
-            # Non-contiguous B runs inside the occurrence; take the
-            # cursor-per-entry heap instead of gathering.
-            return self._level_heap(arena, w, e)
-        b_seg = _as_np(arena.values[sb])[seg_lo:seg_hi]
-        n_out = len(b_seg)
-        if n_out == 0:
-            return False
-        owners = np.repeat(
-            np.arange(a_lo, a_hi, dtype=np.int64), counts
-        )
-        order = np.argsort(rank[b_seg], kind="stable")
-        b_sorted = b_seg[order]
-        keys = rank[b_sorted]
-        boundary = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-        starts = np.concatenate(
-            (np.zeros(1, dtype=np.int64), boundary)
-        )
-        ends = np.concatenate(
-            (boundary, np.asarray([n_out], dtype=np.int64))
-        )
-        dna, dnb = self.dna, self.dnb
-        base_a = len(w.values[dna])
-        a_ids = _as_np(arena.values[sa])[owners[order]]
-        w.values[dna].frombytes(a_ids.tobytes())
-        slot = self.j_a_slot
-        w.child_lo[dnb][slot].frombytes((starts + base_a).tobytes())
-        w.child_hi[dnb][slot].frombytes((ends + base_a).tobytes())
-        w.values[dnb].frombytes(b_sorted[starts].tobytes())
-        self._copy_passthrough(arena, w, e)
-        return True
+                offsets = arena.offsets[si][j]
+                _extend_shifted(w.offsets[di][dj], offsets, 1, len(offsets))
+        return w.finish()
 
     def level(
-        self, arena: ArenaRep, w: _Writer, e: Optional[int]
-    ) -> bool:
-        if self.leaf_fast:
-            rank = w.scratch.get("swap_rank")
-            if rank is None:
-                rank = _pool_rank(arena.pool)
-                w.scratch["swap_rank"] = rank
-            if rank is not False:
-                return self._level_vectorised(arena, w, e, rank)
-        return self._level_heap(arena, w, e)
-
-    def _level_heap(
-        self, arena: ArenaRep, w: _Writer, e: Optional[int]
+        self, arena: ArenaRep, w: ArenaWriter, e: Optional[int]
     ) -> bool:
         sa, sb = self.sa, self.sb
         a_lo, a_hi = self._rng(arena, self.a_pos, sa, e)
         vals_a = arena.values[sa]
         vals_b = arena.values[sb]
-        bl = arena.child_lo[sa][self.j_b]
-        bh = arena.child_hi[sa][self.j_b]
-        a_cl, a_ch = arena.child_lo[sa], arena.child_hi[sa]
-        b_cl, b_ch = arena.child_lo[sb], arena.child_hi[sb]
+        a_edges, b_edges = arena.offsets[sa], arena.offsets[sb]
+        b_offsets = a_edges[self.j_b]
         pool = arena.pool
         dna, dnb = self.dna, self.dnb
 
@@ -636,14 +404,13 @@ class SwapKernel(_LevelKernel):
         positions: List[int] = [0] * n
         heap: List[Tuple[object, int]] = []
         for i in range(n):
-            b0 = bl[a_lo + i]
+            b0 = b_offsets[a_lo + i]
             positions[i] = b0
             heap.append((pool[vals_b[b0]], i))
         heapq.heapify(heap)
 
         while heap:
             b_min = heap[0][0]
-            group_marks = w.mark_children(dnb)
             b_vid = -1
             first = True
             while heap and heap[0][0] == b_min:
@@ -654,25 +421,24 @@ class SwapKernel(_LevelKernel):
                     first = False
                     b_vid = vals_b[bp]
                     for j, k, dk in self.tb_slots:
-                        _copy_run(
-                            arena, w, k, dk, b_cl[j][bp], b_ch[j][bp]
+                        w.copy_block(
+                            arena, k, dk, b_edges[j][bp], b_edges[j][bp + 1]
                         )
-                marks_a = w.mark_children(dna)
                 for j, k, dk in self.e_slots:
-                    _copy_run(
-                        arena, w, k, dk, a_cl[j][a_e], a_ch[j][a_e]
+                    w.copy_block(
+                        arena, k, dk, a_edges[j][a_e], a_edges[j][a_e + 1]
                     )
                 for j, k, dk in self.tab_slots:
-                    _copy_run(
-                        arena, w, k, dk, b_cl[j][bp], b_ch[j][bp]
+                    w.copy_block(
+                        arena, k, dk, b_edges[j][bp], b_edges[j][bp + 1]
                     )
-                w.commit_children(dna, vals_a[a_e], marks_a)
+                w.commit(dna, vals_a[a_e])
                 positions[i] = bp + 1
-                if bp + 1 < bh[a_e]:
+                if bp + 1 < b_offsets[a_e + 1]:
                     heapq.heappush(
                         heap, (pool[vals_b[bp + 1]], i)
                     )
-            w.commit_children(dnb, b_vid, group_marks)
+            w.commit(dnb, b_vid)
         self._copy_passthrough(arena, w, e)
         return True
 
@@ -710,14 +476,13 @@ class MergeKernel(_LevelKernel):
         self._keep_members((self.sa, self.sb))
 
     def level(
-        self, arena: ArenaRep, w: _Writer, e: Optional[int]
+        self, arena: ArenaRep, w: ArenaWriter, e: Optional[int]
     ) -> bool:
         sa, sb = self.sa, self.sb
         a_lo, a_hi = self._rng(arena, self.a_pos, sa, e)
         b_lo, b_hi = self._rng(arena, self.b_pos, sb, e)
         vals_a, vals_b = arena.values[sa], arena.values[sb]
-        a_cl, a_ch = arena.child_lo[sa], arena.child_hi[sa]
-        b_cl, b_ch = arena.child_lo[sb], arena.child_hi[sb]
+        a_edges, b_edges = arena.offsets[sa], arena.offsets[sb]
         pool = arena.pool
         dm = self.dm
         i, j = a_lo, b_lo
@@ -730,16 +495,15 @@ class MergeKernel(_LevelKernel):
             elif bv < av:
                 j += 1
             else:
-                marks = w.mark_children(dm)
                 for js, k, dk in self.a_slots:
-                    _copy_run(
-                        arena, w, k, dk, a_cl[js][i], a_ch[js][i]
+                    w.copy_block(
+                        arena, k, dk, a_edges[js][i], a_edges[js][i + 1]
                     )
                 for js, k, dk in self.b_slots:
-                    _copy_run(
-                        arena, w, k, dk, b_cl[js][j], b_ch[js][j]
+                    w.copy_block(
+                        arena, k, dk, b_edges[js][j], b_edges[js][j + 1]
                     )
-                w.commit_children(dm, vals_a[i], marks)
+                w.commit(dm, vals_a[i])
                 kept = True
                 i += 1
                 j += 1
@@ -782,28 +546,25 @@ class PushKernel(_LevelKernel):
         self._keep_members((self.sa,))
 
     def level(
-        self, arena: ArenaRep, w: _Writer, e: Optional[int]
+        self, arena: ArenaRep, w: ArenaWriter, e: Optional[int]
     ) -> bool:
         sa = self.sa
         a_lo, a_hi = self._rng(arena, self.a_pos, sa, e)
         vals_a = arena.values[sa]
-        a_cl, a_ch = arena.child_lo[sa], arena.child_hi[sa]
+        a_edges = arena.offsets[sa]
+        b_offsets = a_edges[self.j_b]
         # All copies of B's union are equal by independence; hoist the
         # first (exactly the object operator's choice).
-        _copy_run(
-            arena,
-            w,
-            self.sb,
-            self.dnb,
-            a_cl[self.j_b][a_lo],
-            a_ch[self.j_b][a_lo],
+        w.copy_block(
+            arena, self.sb, self.dnb, b_offsets[a_lo], b_offsets[a_lo + 1]
         )
         dna = self.dna
         for a_e in range(a_lo, a_hi):
-            marks = w.mark_children(dna)
             for j, k, dk in self.e_slots:
-                _copy_run(arena, w, k, dk, a_cl[j][a_e], a_ch[j][a_e])
-            w.commit_children(dna, vals_a[a_e], marks)
+                w.copy_block(
+                    arena, k, dk, a_edges[j][a_e], a_edges[j][a_e + 1]
+                )
+            w.commit(dna, vals_a[a_e])
         self._copy_passthrough(arena, w, e)
         return True
 
@@ -866,14 +627,14 @@ class _AbsorbStructuralKernel(_LevelKernel):
     def _below(
         self,
         arena: ArenaRep,
-        w: _Writer,
+        w: ArenaWriter,
         d: int,
         e: int,
         a_val: object,
     ) -> bool:
         sx, _, j_cont, passthrough, splice = self.path[d]
-        lo = arena.child_lo[sx][j_cont][e]
-        hi = arena.child_hi[sx][j_cont][e]
+        edges = arena.offsets[sx]
+        lo, hi = edges[j_cont][e], edges[j_cont][e + 1]
         if splice is not None:
             # The continuation member is B itself: restrict its union
             # to a_val -- bisect_left on the decoded column, exactly
@@ -890,50 +651,30 @@ class _AbsorbStructuralKernel(_LevelKernel):
                     p_hi = mid
             if p_lo >= hi or pool[vals_b[p_lo]] != a_val:
                 return False
+            b_edges = arena.offsets[sb]
             for j, k, dk in splice:
-                _copy_run(
-                    arena,
-                    w,
-                    k,
-                    dk,
-                    arena.child_lo[sb][j][p_lo],
-                    arena.child_hi[sb][j][p_lo],
+                w.copy_block(
+                    arena, k, dk, b_edges[j][p_lo], b_edges[j][p_lo + 1]
                 )
-            for j, k, dk in passthrough:
-                _copy_run(
-                    arena,
-                    w,
-                    k,
-                    dk,
-                    arena.child_lo[sx][j][e],
-                    arena.child_hi[sx][j][e],
-                )
-            return True
-        nxt_sx, nxt_dx = self.path[d + 1][0], self.path[d + 1][1]
-        vals = arena.values[nxt_sx]
-        kept = False
-        for t in range(lo, hi):
-            marks = w.mark(nxt_dx)
-            if self._below(arena, w, d + 1, t, a_val):
-                w.commit_id(nxt_dx, vals[t], marks)
-                kept = True
-            else:
-                w.rollback(nxt_dx, marks)
-        if not kept:
-            return False
+        else:
+            nxt_sx, nxt_dx = self.path[d + 1][0], self.path[d + 1][1]
+            vals = arena.values[nxt_sx]
+            kept = False
+            for t in range(lo, hi):
+                marks = w.mark(nxt_dx)
+                if self._below(arena, w, d + 1, t, a_val):
+                    w.commit(nxt_dx, vals[t])
+                    kept = True
+                else:
+                    w.rollback(nxt_dx, marks)
+            if not kept:
+                return False
         for j, k, dk in passthrough:
-            _copy_run(
-                arena,
-                w,
-                k,
-                dk,
-                arena.child_lo[sx][j][e],
-                arena.child_hi[sx][j][e],
-            )
+            w.copy_block(arena, k, dk, edges[j][e], edges[j][e + 1])
         return True
 
     def level(
-        self, arena: ArenaRep, w: _Writer, e: Optional[int]
+        self, arena: ArenaRep, w: ArenaWriter, e: Optional[int]
     ) -> bool:
         sa = self.sa
         a_lo, a_hi = self._rng(arena, self.a_pos, sa, e)
@@ -945,7 +686,7 @@ class _AbsorbStructuralKernel(_LevelKernel):
             a_vid = vals_a[a_e]
             marks = w.mark(dm)
             if self._below(arena, w, 0, a_e, pool[a_vid]):
-                w.commit_id(dm, a_vid, marks)
+                w.commit(dm, a_vid)
                 kept = True
             else:
                 w.rollback(dm, marks)
@@ -1126,9 +867,7 @@ def _right_remap(left_pool, right_pool):
                 vid = table[value] = len(out_pool)
                 out_pool.append(value)
             ids.append(vid)
-    if _np is not None:
-        return out_pool, _np.asarray(ids, dtype=_np.int64)
-    return out_pool, ids
+    return out_pool, np.asarray(ids, dtype=np.int64)
 
 
 def union_arena(left: ArenaRep, right: ArenaRep) -> ArenaRep:
@@ -1139,12 +878,12 @@ def union_arena(left: ArenaRep, right: ArenaRep) -> ArenaRep:
     through one vectorised table.  Exactness needs branch-compatible
     inputs, as in :func:`repro.ops.union.union`."""
     skel = left.skel
-    w = _Writer(skel)
     if left.pool is right.pool:
         out_pool = left.pool
         vmap = None
     else:
         out_pool, vmap = _right_remap(left.pool, right.pool)
+    w = ArenaWriter(skel, out_pool)
     lpool = left.pool
     rpool = right.pool
 
@@ -1160,37 +899,35 @@ def union_arena(left: ArenaRep, right: ArenaRep) -> ArenaRep:
                 stop = i + 1
                 while stop < lhi and lpool[lvals[stop]] < rv:
                     stop += 1
-                _copy_run(left, w, si, si, i, stop)
+                w.copy_block(left, si, si, i, stop)
                 i = stop
             elif rv < lv:
                 stop = j + 1
                 while stop < rhi and rpool[rvals[stop]] < lv:
                     stop += 1
-                _copy_run(right, w, si, si, j, stop, vmap)
+                w.copy_block(right, si, si, j, stop, vmap)
                 j = stop
             else:
-                marks = w.mark_children(si)
+                l_edges, r_edges = left.offsets[si], right.offsets[si]
                 for js, k in enumerate(kids):
                     merge(
                         k,
-                        left.child_lo[si][js][i],
-                        left.child_hi[si][js][i],
-                        right.child_lo[si][js][j],
-                        right.child_hi[si][js][j],
+                        l_edges[js][i],
+                        l_edges[js][i + 1],
+                        r_edges[js][j],
+                        r_edges[js][j + 1],
                     )
-                w.commit_children(si, lvals[i], marks)
+                w.commit(si, lvals[i])
                 i += 1
                 j += 1
-        if i < lhi:
-            _copy_run(left, w, si, si, i, lhi)
-        if j < rhi:
-            _copy_run(right, w, si, si, j, rhi, vmap)
+        w.copy_block(left, si, si, i, lhi)
+        w.copy_block(right, si, si, j, rhi, vmap)
 
     for r in skel.roots:
         merge(
             r, 0, len(left.values[r]), 0, len(right.values[r])
         )
-    return w.finish(out_pool)
+    return w.finish()
 
 
 def product_arena(
@@ -1203,8 +940,7 @@ def product_arena(
     dskel = _skeleton_of(out_tree)
     n = len(dskel)
     values: List[array] = [None] * n  # type: ignore[list-item]
-    child_lo: List[List[array]] = [None] * n  # type: ignore[list-item]
-    child_hi: List[List[array]] = [None] * n  # type: ignore[list-item]
+    offsets: List[List[array]] = [None] * n  # type: ignore[list-item]
     shared = left.pool is right.pool
     if shared:
         pool = left.pool
@@ -1225,9 +961,8 @@ def product_arena(
                     shifted, src.values[i], 0, len(src.values[i]), delta
                 )
                 values[di] = shifted
-            child_lo[di] = list(src.child_lo[i])
-            child_hi[di] = list(src.child_hi[i])
+            offsets[di] = list(src.offsets[i])
 
     adopt(left, 0)
     adopt(right, shift)
-    return ArenaRep(dskel, values, child_lo, child_hi, pool)
+    return ArenaRep(dskel, values, offsets, pool)

@@ -37,10 +37,11 @@ comparison against the flat CSV equivalent).
 
 An *arena*-encoded representation (:mod:`repro.core.arena`) gets its
 own blob kind: the interned value pool is tag-encoded once, and the
-per-node integer columns are written as raw little-endian int64 byte
-runs.  Loading is therefore ~O(bytes) -- ``array.frombytes`` plus a
-bounds check -- instead of an object-graph rebuild, which is the point
-of persisting query results in the hot encoding.
+integer columns -- per node its value ids, then per child edge its CSR
+offsets -- are written as raw little-endian int64 byte runs.  Loading
+is therefore ~O(bytes) -- ``array.frombytes`` plus a bounds check --
+instead of an object-graph rebuild, which is the point of persisting
+query results in the hot encoding.
 """
 
 from __future__ import annotations
@@ -55,12 +56,9 @@ import sys
 import tempfile
 import zlib
 from array import array
-from typing import Any, BinaryIO, Dict, List, Optional, Tuple
+from typing import Any, BinaryIO, Callable, Dict, List, Optional, Tuple
 
-try:  # optional: zero-copy mmap column views (stdlib path copies)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free CI
-    _np = None
+import numpy as np
 
 from repro.core import arena as arena_mod
 from repro.core.arena import ArenaRep
@@ -75,7 +73,7 @@ from repro.relational.schema import RelationSchema
 from repro.storage.sharded import ShardedDatabase
 
 MAGIC = b"FDBP"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Payload kinds a blob can carry.
 KINDS = (
@@ -96,6 +94,10 @@ SHARD_PATTERN = "shard-{index:04d}.fdbp"
 
 class PersistError(ValueError):
     """Raised for unreadable, corrupt or incompatible persisted data."""
+
+
+class FormatVersionError(PersistError):
+    """Raised for an FDBP file written in another format version."""
 
 
 # -- value encoding ----------------------------------------------------------
@@ -277,7 +279,7 @@ def read_header(handle: BinaryIO) -> Tuple[str, Dict[str, Any]]:
         )
     (version,) = struct.unpack(">H", _exactly(handle, 2, "format version"))
     if version != FORMAT_VERSION:
-        raise PersistError(
+        raise FormatVersionError(
             f"unsupported format version {version} "
             f"(this build reads version {FORMAT_VERSION})"
         )
@@ -609,19 +611,16 @@ def _decode_factorised(payload: bytes) -> FactorisedRelation:
 
 # -- arena-encoded factorised relations --------------------------------------
 #
-# Columns are array('q') (exactly 8-byte signed on every CPython
-# platform); the file format fixes little-endian so blobs are portable
-# across hosts.
+# Columns are int64 (array('q') in memory, ndarray views when mapped);
+# the file format fixes little-endian so blobs are portable across
+# hosts.
 
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _write_i64_column(out: BinaryIO, column: array) -> None:
+def _write_i64_column(out: BinaryIO, column) -> None:
     _write_varint(out, len(column))
-    if _BIG_ENDIAN:  # pragma: no cover - little-endian dev machines
-        column = array("q", column)
-        column.byteswap()
-    out.write(column.tobytes())
+    out.write(arena_mod._as_np(column).astype("<i8", copy=False).tobytes())
 
 
 def _read_i64_column(src: BinaryIO) -> array:
@@ -666,22 +665,54 @@ class _BufferReader:
 
 
 def _read_i64_column_mapped(src: _BufferReader):
-    """A column straight off a mapped buffer.
-
-    With numpy the result is a zero-copy ``int64`` *view* into the
-    mapping -- bytes are only paged in when a kernel touches them; the
-    stdlib fallback copies into an ``array('q')`` (still one pass, no
-    object decode).
-    """
+    """A column straight off a mapped buffer: a zero-copy ``int64``
+    *view* into the mapping (bytes are only paged in when a kernel
+    touches them; a big-endian host gets a byte-swapped copy)."""
     count = _read_varint(src)
     raw = src.view(8 * count)
-    if _np is not None and not _BIG_ENDIAN:
-        return _np.frombuffer(raw, dtype="<i8")
-    column = array("q")
-    column.frombytes(raw)
-    if _BIG_ENDIAN:  # pragma: no cover
-        column.byteswap()
-    return column
+    return np.frombuffer(raw, dtype="<i8").astype(np.int64, copy=False)
+
+
+def _write_columns(out: BinaryIO, rep: ArenaRep, remap=None) -> None:
+    """Per node: its value ids (through ``remap``, if given), then the
+    CSR offsets of each child edge."""
+    _write_varint(out, len(rep.skel))
+    for column, edges in zip(rep.values, rep.offsets):
+        _write_i64_column(out, column if remap is None else remap(column))
+        for offsets in edges:
+            _write_i64_column(out, offsets)
+
+
+def _read_columns(
+    src, tree: FTree, pool, read_column: Callable, what: str
+) -> ArenaRep:
+    """Inverse of :func:`_write_columns`, bounds-checked: any arena
+    invariant violation becomes a :class:`PersistError`."""
+    skel = arena_mod._skeleton_of(tree)
+    node_count = _read_varint(src)
+    if node_count != len(skel):
+        raise PersistError(
+            f"{what} payload has {node_count} node columns for a "
+            f"{len(skel)}-node f-tree"
+        )
+    values: List[array] = []
+    offsets: List[List[array]] = []
+    for i in range(node_count):
+        values.append(read_column(src))
+        offsets.append([read_column(src) for _ in skel.children[i]])
+    if src.read(1):
+        raise PersistError(f"{what} payload has trailing bytes")
+    rep = ArenaRep(skel, values, offsets, pool)
+    # Flat integer scans only (vectorised): loading stays ~O(bytes).
+    # Value-order validation is available explicitly via
+    # FactorisedRelation.validate().
+    try:
+        arena_mod.validate_arena_bounds(tree, rep)
+    except ValueError as exc:
+        raise PersistError(
+            f"{what} violates its invariants: {exc}"
+        ) from exc
+    return rep
 
 
 def _encode_arena(fr: FactorisedRelation) -> Tuple[Dict[str, Any], bytes]:
@@ -706,13 +737,7 @@ def _encode_arena(fr: FactorisedRelation) -> Tuple[Dict[str, Any], bytes]:
     _write_varint(out, len(rep.pool))
     for value in rep.pool:
         write_value(out, value)
-    skel = rep.skel
-    _write_varint(out, len(skel))
-    for i in range(len(skel)):
-        _write_i64_column(out, rep.values[i])
-        for j in range(len(skel.children[i])):
-            _write_i64_column(out, rep.child_lo[i][j])
-            _write_i64_column(out, rep.child_hi[i][j])
+    _write_columns(out, rep)
     header = {
         "attributes": list(fr.attributes),
         "empty": False,
@@ -744,37 +769,7 @@ def _decode_arena_from(src, read_column) -> FactorisedRelation:
             raise PersistError("arena payload has trailing bytes")
         return FactorisedRelation(tree, arena=None)
     pool = [read_value(src) for _ in range(_read_varint(src))]
-    skel = arena_mod._skeleton_of(tree)
-    node_count = _read_varint(src)
-    if node_count != len(skel):
-        raise PersistError(
-            f"arena payload has {node_count} node columns for a "
-            f"{len(skel)}-node f-tree"
-        )
-    values: List[array] = []
-    child_lo: List[List[array]] = []
-    child_hi: List[List[array]] = []
-    for i in range(node_count):
-        values.append(read_column(src))
-        los: List[array] = []
-        his: List[array] = []
-        for _ in skel.children[i]:
-            los.append(read_column(src))
-            his.append(read_column(src))
-        child_lo.append(los)
-        child_hi.append(his)
-    if src.read(1):
-        raise PersistError("arena payload has trailing bytes")
-    rep = ArenaRep(skel, values, child_lo, child_hi, pool)
-    # Flat integer bounds scans only (vectorised under numpy): loading
-    # stays ~O(bytes).  Value-order validation is available explicitly
-    # via FactorisedRelation.validate().
-    try:
-        arena_mod.validate_arena_bounds(tree, rep)
-    except ValueError as exc:
-        raise PersistError(
-            f"persisted arena violates its invariants: {exc}"
-        ) from exc
+    rep = _read_columns(src, tree, pool, read_column, "persisted arena")
     return FactorisedRelation(tree, arena=rep)
 
 
@@ -796,18 +791,6 @@ def _decode_arena_from(src, read_column) -> FactorisedRelation:
 # on the same connection, in order.  It is therefore a wire-only form,
 # never written to disk, and both sides fall back to plain ``arena``
 # blobs when either end does not opt in.
-
-
-def _write_i64_any(out: BinaryIO, column) -> None:
-    """Write an int64 column that may be array('q'), ndarray or any
-    int iterable (remapped columns)."""
-    if _np is not None and isinstance(column, _np.ndarray):
-        _write_varint(out, len(column))
-        out.write(column.astype("<i8", copy=False).tobytes())
-        return
-    if not isinstance(column, array):
-        column = array("q", column)
-    _write_i64_column(out, column)
 
 
 class ArenaPoolEncoder:
@@ -852,11 +835,17 @@ class ArenaPoolEncoder:
             out.write(bytes((0,)))
         else:
             out.write(bytes((1,)))
-            src_pool = rep.pool
-            if src_pool is self.pool:
-                vmap = None
-            else:
-                vmap = [self.pool.intern(value) for value in src_pool]
+            remap = None
+            if rep.pool is not self.pool:
+                # Interning first: the delta below must include every
+                # value this payload's remapped ids point at.
+                table = np.asarray(
+                    [self.pool.intern(value) for value in rep.pool],
+                    dtype=np.int64,
+                )
+                remap = lambda column: table[  # noqa: E731
+                    arena_mod._as_np(column)
+                ]
             base = (
                 self.shipped if self._pending is None else self._pending
             )
@@ -866,24 +855,7 @@ class ArenaPoolEncoder:
             for value in delta:
                 write_value(out, value)
             self._pending = base + len(delta)
-            if vmap is None:
-                remap = lambda column: column  # noqa: E731
-            elif _np is not None:
-                vmap_arr = _np.asarray(vmap, dtype=_np.int64)
-                remap = lambda column: vmap_arr[  # noqa: E731
-                    arena_mod._as_np(column)
-                ]
-            else:
-                remap = lambda column: array(  # noqa: E731
-                    "q", (vmap[vid] for vid in column)
-                )
-            skel = rep.skel
-            _write_varint(out, len(skel))
-            for i in range(len(skel)):
-                _write_i64_any(out, remap(rep.values[i]))
-                for j in range(len(skel.children[i])):
-                    _write_i64_any(out, rep.child_lo[i][j])
-                    _write_i64_any(out, rep.child_hi[i][j])
+            _write_columns(out, rep, remap)
         body = out.getvalue()
         return body + struct.pack(">I", zlib.crc32(body))
 
@@ -932,47 +904,9 @@ class ArenaPoolDecoder:
         self.values.extend(
             read_value(src) for _ in range(_read_varint(src))
         )
-        skel = arena_mod._skeleton_of(tree)
-        node_count = _read_varint(src)
-        if node_count != len(skel):
-            raise PersistError(
-                f"pooled arena payload has {node_count} node columns "
-                f"for a {len(skel)}-node f-tree"
-            )
-        values: List[array] = []
-        child_lo: List[List[array]] = []
-        child_hi: List[List[array]] = []
-        for i in range(node_count):
-            values.append(_read_i64_column(src))
-            los: List[array] = []
-            his: List[array] = []
-            for _ in skel.children[i]:
-                los.append(_read_i64_column(src))
-                his.append(_read_i64_column(src))
-            child_lo.append(los)
-            child_hi.append(his)
-        if src.read(1):
-            raise PersistError("pooled arena payload has trailing bytes")
-        limit = len(self.values)
-        for column in values:
-            if not len(column):
-                continue
-            if _np is not None:
-                arr = _np.frombuffer(column, dtype=_np.int64)
-                bad = int(arr.max()) >= limit or int(arr.min()) < 0
-            else:  # pragma: no cover - numpy-free fallback
-                bad = max(column) >= limit or min(column) < 0
-            if bad:
-                raise PersistError(
-                    "pooled arena value id outside the connection pool"
-                )
-        rep = ArenaRep(skel, values, child_lo, child_hi, self.values)
-        try:
-            arena_mod.validate_arena_bounds(tree, rep)
-        except ValueError as exc:
-            raise PersistError(
-                f"pooled arena violates its invariants: {exc}"
-            ) from exc
+        rep = _read_columns(
+            src, tree, self.values, _read_i64_column, "pooled arena"
+        )
         return FactorisedRelation(tree, arena=rep)
 
 
@@ -1230,9 +1164,8 @@ def load(path: str, mmap: bool = False) -> object:
     unreadable, truncated, corrupt or version-incompatible.
 
     ``mmap=True`` memory-maps ``arena`` blobs instead of reading them:
-    the integer columns become zero-copy views into the mapping (numpy
-    ``int64`` views when numpy is available, ``array('q')`` copies
-    otherwise), so opening a large persisted result costs ~O(page
+    the integer columns become zero-copy numpy ``int64`` views into the
+    mapping, so opening a large persisted result costs ~O(page
     faults) of the bytes actually touched rather than a full read.
     Trade-off: the payload CRC is **not** verified up front (that
     would page the whole file in); the structural bounds check still

@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.ftree import FTree
 from repro.persist import codec
-from repro.persist.codec import PersistError
+from repro.persist.codec import FormatVersionError, PersistError
 from repro.query.query import Query
 from repro.relational.database import Database
 
@@ -143,7 +143,8 @@ class PlanStore:
         served anyway when the gap is explained by recorded data-only
         deltas (``delta_hits``; plans are schema-level objects, see
         the inline note) and *stale* otherwise: deleted, and the
-        lookup misses.  A corrupt entry raises :class:`PersistError`
+        lookup misses.  An entry in another FDBP format version is
+        stale too.  A corrupt entry raises :class:`PersistError`
         -- the store never silently returns a plan it cannot verify.
         """
         fingerprint = schema_fingerprint(database)
@@ -152,6 +153,13 @@ class PlanStore:
             with open(path, "rb") as handle:
                 kind, header, payload = codec.read_blob(handle)
         except FileNotFoundError:
+            self.misses += 1
+            return None
+        except FormatVersionError:
+            # Written by a build with another file format: stale (the
+            # plan is recompiled and rewritten), not corrupt.
+            self._evict(path)
+            self.stale_evictions += 1
             self.misses += 1
             return None
         except PersistError as exc:

@@ -13,6 +13,7 @@ tuple (``ProductRep([])`` / a zero-node arena).
 from __future__ import annotations
 
 import pickle
+from array import array
 
 import pytest
 
@@ -109,8 +110,7 @@ def test_direct_arena_build_matches_object_build(seed, tuples, shape):
     if product is not None:
         encoded = arena.from_product(tree, product)
         assert built.values == encoded.values
-        assert built.child_lo == encoded.child_lo
-        assert built.child_hi == encoded.child_hi
+        assert built.offsets == encoded.offsets
         assert built.pool == encoded.pool
         order = tuple(sorted(tree.attributes()))
         assert list(arena.iter_rows(built, order)) == list(
@@ -412,24 +412,21 @@ def test_validate_arena_rejects_bad_ranges():
     db, query = _grocery_like()
     fa = FDB(db, encoding="arena").evaluate(query)
     broken = fa.arena.copy()
-    for slots in broken.child_hi:
-        if slots and len(slots[0]):
-            slots[0][0] = 10_000_000
+    for edges in broken.offsets:
+        if edges:
+            edges[0][1] = 10_000_000
             break
     with pytest.raises(ArenaError):
         arena.validate_arena_bounds(fa.tree, broken)
 
 
-@pytest.mark.parametrize("numpy_path", [True, False], ids=["numpy", "stdlib"])
-def test_tuple_count_is_exact_above_the_int64_bound(numpy_path, monkeypatch):
+def test_tuple_count_is_exact_above_the_int64_bound():
     """A count past ``_INT64_SAFE`` (1000**7 below one entry of ``p``)
     takes the exact Python-int fallback, also for the parent that
     reads ``p``'s counts, and matches the object encoding exactly."""
     from repro.core.frep import UnionRep
     from repro.core.size import tuple_count as object_count
 
-    if not numpy_path:
-        monkeypatch.setattr(arena, "_np", None)
     leaves = [f"y{i}" for i in range(7)]
     tree = FTree.from_nested(
         [("r", [("p", [(y, []) for y in leaves]), ("q", [])])],
@@ -478,9 +475,9 @@ def test_count_distinct_collapses_equal_values_of_different_types():
 
 
 def test_bounds_check_rejects_non_contiguous_ranges():
-    """In-bounds but non-DFS-tiling child ranges (what a CRC-valid
-    tampered blob could carry) must fail validation -- the bulk-copy
-    selection kernel relies on the tiling."""
+    """In-bounds but non-DFS-tiling offsets (what a CRC-valid tampered
+    blob could carry) must fail validation -- the bulk-copy kernels
+    rely on the tiling."""
     from repro.relational.relation import Relation
 
     r = Relation.from_rows(
@@ -489,20 +486,20 @@ def test_bounds_check_rejects_non_contiguous_ranges():
     tree = FTree.from_nested([("a", [("b", [])])], [{"a", "b"}])
     rep = ArenaFactoriser([r], tree).run()
     arena.validate_arena_bounds(tree, rep)  # healthy baseline
-    # Swap the two a-entries' b-ranges: [0,2) and [2,4) become [2,4)
-    # and [0,2) -- every offset stays in bounds and non-empty, but the
-    # layout is no longer the DFS tiling.
-    broken = rep.copy()
-    los, his = broken.child_lo[0][0], broken.child_hi[0][0]
-    los[0], los[1] = los[1], los[0]
-    his[0], his[1] = his[1], his[0]
-    with pytest.raises(ArenaError, match="tile"):
-        arena.validate_arena_bounds(tree, broken)
-    # Overlapping ranges with correct endpoints are caught too.
-    overlap = rep.copy()
-    overlap.child_lo[0][0][1] = 1
-    with pytest.raises(ArenaError, match="tile|gaps"):
-        arena.validate_arena_bounds(tree, overlap)
+    assert list(rep.offsets[0][0]) == [0, 2, 4]
+    tampers = {
+        "non-monotone": ([0, 5, 4], "strictly"),
+        "empty union": ([0, 4, 4], "strictly"),
+        "bad start": ([1, 2, 4], "tile"),
+        "bad end": ([0, 2, 3], "tile"),
+        "short": ([0, 4], "expected one more"),
+        "long": ([0, 1, 2, 4], "expected one more"),
+    }
+    for name, (offsets, message) in tampers.items():
+        broken = rep.copy()
+        broken.offsets[0][0] = array("q", offsets)
+        with pytest.raises(ArenaError, match=message):
+            arena.validate_arena_bounds(tree, broken)
 
 
 def test_iter_rows_unknown_attribute_raises_like_objects():

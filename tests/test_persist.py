@@ -474,6 +474,25 @@ def test_plan_store_corrupt_entry_raises(store_setup):
         store.get(query, db)
 
 
+def test_plan_store_evicts_entries_of_another_format_version(store_setup):
+    """A plan store written by a build with another FDBP version is
+    stale after an upgrade, not corrupt: the lookup misses and the
+    entry is evicted, so the plan is recompiled instead of failing."""
+    db, query, tree, store = store_setup
+    store.put(query, db, tree)
+    entry = os.path.join(store.path, store.entries()[0])
+    with open(entry, "rb") as handle:
+        data = bytearray(handle.read())
+    data[4:6] = struct.pack(">H", FORMAT_VERSION - 1)
+    with open(entry, "wb") as handle:
+        handle.write(bytes(data))
+    assert store.get(query, db) is None
+    assert store.stale_evictions == 1
+    assert len(store) == 0
+    store.put(query, db, tree)
+    assert store.get(query, db) == tree
+
+
 def test_plan_store_clear(store_setup):
     db, query, tree, store = store_setup
     store.put(query, db, tree)
@@ -798,6 +817,135 @@ def test_tampered_arena_columns_fail_bounds_check(tmp_path):
     assert zlib.crc32(read_payload) == zlib.crc32(bytes(bad))
     with pytest.raises(PersistError, match="invariants"):
         codec.decode(read_kind, read_header, read_payload)
+    # Well-framed blobs of structurally broken arenas: the encoder
+    # writes whatever columns it is given, the loader must refuse them.
+    for name, broken in _tampered_arenas(fr.arena):
+        kind, header, payload = codec.encode(
+            FactorisedRelation(fr.tree, arena=broken)
+        )
+        with pytest.raises(PersistError, match="invariants"):
+            codec.decode(kind, header, payload)
+
+
+def _tampered_arenas(rep):
+    """(name, arena) pairs: copies of ``rep`` whose first offsets
+    column is non-monotone, one entry too long, or does not end at the
+    child column's length, and one with a value id outside the pool."""
+    from array import array
+
+    offsets = list(rep.offsets[0][0])
+    assert len(offsets) > 2
+    swapped = list(offsets)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    variants = {
+        "non-monotone": swapped,
+        "wrong-length": offsets + [offsets[-1]],
+        "wrong-end": offsets[:-1] + [offsets[-1] - 1],
+    }
+    for name, column in variants.items():
+        broken = rep.copy()
+        broken.offsets[0][0] = array("q", column)
+        yield name, broken
+    broken = rep.copy()
+    broken.values[0][0] = len(broken.pool) + 3
+    yield "out-of-pool", broken
+
+
+def test_version_1_arena_file_raises(tmp_path):
+    """Version-1 files carry two range columns per edge; this build
+    reads CSR offsets only, so it rejects them rather than
+    reinterpreting their bytes."""
+    fr = _arena_join_result()
+    path = str(tmp_path / "result.fdbp")
+    save(fr, path)
+    with open(path, "rb") as handle:
+        data = bytearray(handle.read())
+    data[4:6] = struct.pack(">H", 1)
+    with open(path, "wb") as handle:
+        handle.write(bytes(data))
+    for mapped in (False, True):
+        with pytest.raises(PersistError, match="version 1"):
+            load(path, mmap=mapped)
+
+
+# -- the pooled wire codec ---------------------------------------------------
+
+
+def _pooled_payload(fr):
+    """A fresh connection's first pooled payload for ``fr``, with the
+    columns written verbatim (the encoder pool is seeded with the
+    arena's own pool, so no id is remapped)."""
+    from repro.core.arena import ArenaRep
+    from repro.persist.codec import ArenaPoolEncoder
+
+    encoder = ArenaPoolEncoder()
+    for value in fr.arena.pool:
+        encoder.pool.intern(value)
+    rep = fr.arena
+    shared = ArenaRep(rep.skel, rep.values, rep.offsets, encoder.pool)
+    return encoder.encode(FactorisedRelation(fr.tree, arena=shared))
+
+
+def test_pooled_codec_round_trip_shares_one_pool():
+    from repro import ops
+    from repro.persist.codec import ArenaPoolDecoder, ArenaPoolEncoder
+    from repro.query.query import ConstantCondition
+
+    fr = _arena_join_result()
+    part = ops.select_constant(fr, ConstantCondition("price", "<", 110))
+    encoder, decoder = ArenaPoolEncoder(), ArenaPoolDecoder()
+    first = encoder.encode(fr)
+    encoder.commit()
+    second = encoder.encode(part)
+    encoder.commit()
+    got_first = decoder.decode(first)
+    shipped = len(decoder.values)
+    got_second = decoder.decode(second)
+    # The second payload's values were all shipped by the first.
+    assert len(decoder.values) == shipped == len(fr.arena.pool)
+    assert got_first.arena.pool is got_second.arena.pool
+    assert list(got_first.rows()) == list(fr.rows())
+    assert list(got_second.rows()) == list(part.rows())
+    got_first.validate()
+    got_second.validate()
+
+
+def test_pooled_codec_rejects_a_bad_checksum():
+    from repro.persist.codec import ArenaPoolDecoder
+
+    payload = bytearray(_pooled_payload(_arena_join_result()))
+    payload[len(payload) // 2] ^= 0xFF
+    with pytest.raises(PersistError, match="checksum"):
+        ArenaPoolDecoder().decode(bytes(payload))
+
+
+def test_pooled_codec_rejects_an_out_of_order_base():
+    from repro.persist.codec import ArenaPoolDecoder, ArenaPoolEncoder
+
+    fr = _arena_join_result()
+    encoder = ArenaPoolEncoder()
+    encoder.encode(fr)
+    encoder.commit()
+    other = FDB(grocery_database()).evaluate(
+        parse_query("SELECT * FROM Orders")
+    ).to_arena()
+    later = encoder.encode(other)
+    # A fresh peer has seen no delta: base > 0 is out of order.
+    with pytest.raises(PersistError, match="already-shipped"):
+        ArenaPoolDecoder().decode(later)
+
+
+@pytest.mark.parametrize(
+    "tamper", ["non-monotone", "wrong-length", "wrong-end", "out-of-pool"]
+)
+def test_pooled_codec_rejects_tampered_columns(tamper):
+    from repro.persist.codec import ArenaPoolDecoder
+
+    fr = _arena_join_result()
+    broken = dict(_tampered_arenas(fr.arena))[tamper]
+    payload = _pooled_payload(FactorisedRelation(fr.tree, arena=broken))
+    with pytest.raises(PersistError, match="invariants"):
+        ArenaPoolDecoder().decode(payload)
 
 
 # -- memory-mapped arena loads ----------------------------------------------
@@ -846,22 +994,6 @@ def test_mmap_arena_columns_survive_operators(tmp_path):
         set(fr.rows((attr,)))
     )
     assert mapped.count_distinct(attr) == fr.count_distinct(attr)
-
-
-def test_mmap_stdlib_fallback_path(tmp_path, monkeypatch):
-    """Without numpy the mapped load copies into array('q') -- same
-    answers, stdlib only."""
-    from array import array
-
-    from repro.persist import codec
-
-    fr = _arena_join_result()
-    path = str(tmp_path / "result.fdbp")
-    save(fr, path)
-    monkeypatch.setattr(codec, "_np", None)
-    mapped = load(path, mmap=True)
-    assert isinstance(mapped.arena.values[0], array)
-    assert list(mapped.rows()) == list(fr.rows())
 
 
 def test_mmap_non_arena_kinds_fall_back_to_checksummed_read(tmp_path):
